@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from . import landsberg, littlewood, oracle, step_engine
 from .evaluate import (
+    BudgetError,
     DomainError,
     FiniteSupport,
     Geometric,
@@ -478,12 +479,17 @@ def cmd_selftest(args) -> int:
 # wiring
 
 
-def _add_common(p):
-    p.add_argument("--depth", type=int, default=step_engine.DEFAULT_DEPTH)
-    p.add_argument("--precision-bits", type=int, default=256)
-    p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+_OPTIONS = {
+    "--depth": dict(type=int, default=step_engine.DEFAULT_DEPTH),
+    "--format": dict(choices=["json", "csv", "pretty"], default="pretty"),
+    "--jobs": dict(type=int, default=1),
+}
+
+
+def _add_options(p, *names):
+    """Attach the shared options that the subcommand's handler reads."""
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def _add_sequence(p):
@@ -497,17 +503,17 @@ def build_parser() -> _Parser:
 
     for name, fn in (("maximize", cmd_maximize), ("minimize", cmd_minimize)):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_options(p, "--depth", "--format")
         _add_sequence(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("classify")
-    _add_common(p)
+    _add_options(p, "--depth", "--format")
     p.add_argument("--alpha", required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("eval")
-    _add_common(p)
+    _add_options(p, "--format")
     _add_sequence(p)
     p.add_argument("--t", required=True)
     p.add_argument("--width", default="1/1000000000000")
@@ -516,23 +522,23 @@ def build_parser() -> _Parser:
     lp = sub.add_parser("littlewood")
     lsub = lp.add_subparsers(dest="subcommand", required=True)
     p = lsub.add_parser("scan")
-    _add_common(p)
+    _add_options(p, "--jobs")
     p.add_argument("--max-degree", type=int, default=12)
     p.add_argument("--bins", type=int, default=200)
     p.add_argument("--out", help="CSV path for per-root records")
     p.set_defaults(func=cmd_littlewood_scan)
     p = lsub.add_parser("steproots")
-    _add_common(p)
+    _add_options(p, "--jobs")
     p.add_argument("--max-degree", type=int, default=10)
     p.set_defaults(func=cmd_littlewood_steproots)
     p = lsub.add_parser("gaps")
-    _add_common(p)
+    _add_options(p, "--jobs")
     p.add_argument("--max-degree", type=int, default=12)
     p.add_argument("--resolution", default="1/100")
     p.set_defaults(func=cmd_littlewood_gaps)
 
     p = sub.add_parser("figure")
-    _add_common(p)
+    _add_options(p, "--depth", "--jobs")
     p.add_argument("which", choices=["1", "2", "3", "4"])
     p.add_argument("--out-dir", default="figures")
     p.add_argument("--points", type=int, default=1999)
@@ -541,7 +547,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("selftest")
-    _add_common(p)
     p.set_defaults(func=cmd_selftest)
     return top
 
@@ -549,14 +554,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    bits = getattr(args, "precision_bits", None)
-    if bits and bits > 0:
-        from . import scalars
-
-        scalars.DEFAULT_PRECISION_BITS = bits
     try:
         return args.func(args)
-    except (littlewood.BudgetError, oracle.BudgetError) as exc:
+    except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
     except (PrecisionError, step_engine.AbortUnresolved) as exc:

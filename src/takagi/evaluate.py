@@ -6,6 +6,11 @@ nearest integer.  This module evaluates such functions exactly at rationals
 (via the eventually periodic doubling orbit), with certified enclosures
 elsewhere, and converts between points in [0, 1] and their +-1 Rademacher
 digit sequences.
+
+One walker, `_orbit`, follows the doubling orbit in integer residues; one
+kernel, `_periodic_bounds` over the rounded prefix `_dyadic_prefix_bounds`,
+sums c_m against an eventually periodic factor, be it tent values or the
+Rademacher form's (1 - rho_m A_m)/4.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, count, cycle, islice
+from typing import Iterable, Iterator, Sequence
 
 from . import scalars
 from .scalars import (
@@ -33,6 +39,10 @@ ORBIT_CAP = 10**6
 
 class DomainError(ValueError):
     """Argument outside the function's domain."""
+
+
+class BudgetError(ValueError):
+    """Request beyond a fixed work budget (scan degree, oracle grid generation)."""
 
 
 class InsufficientPrefixError(ValueError):
@@ -147,6 +157,10 @@ class CoefficientSequence(ABC):
     def tail_bound(self, n: int) -> Fraction:
         """Upper bound on sum_{m>n} |c_m|, nonincreasing in n and -> 0."""
 
+    def coefficients(self) -> Iterator[Scalar]:
+        """c_0, c_1, ... in order, for callers that sum consecutive terms."""
+        return map(self.coefficient, count())
+
     def weight(self, m: int) -> Scalar:
         """2^m c_m, the slope increment used by the step recursion."""
         return scalar_mul(self.coefficient(m), Fraction(2**m))
@@ -187,6 +201,13 @@ class Geometric(CoefficientSequence):
 
     def coefficient(self, m: int) -> Scalar:
         return scalar_pow(self._ratio, m)
+
+    def coefficients(self) -> Iterator[Scalar]:
+        # a running product: scalar_pow's exact values at one product a term
+        cm: Scalar = RationalScalar(Fraction(1))
+        while True:
+            yield cm
+            cm = scalar_mul(cm, self._ratio)
 
     def weight(self, m: int) -> Scalar:
         return scalar_pow(self.alpha, m)
@@ -302,37 +323,49 @@ def _check_unit_interval(t: Fraction) -> Fraction:
     return t
 
 
-def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
-    """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t."""
-    t = _check_unit_interval(t)
+def _orbit(t: Fraction, limit: int | None = None) -> tuple[list[int], int | None]:
+    """Doubling orbit of t = num/den mod 1 as the integer residues r_m = 2^m num mod den.
+
+    Returns (residues, start) where the next residue would repeat
+    residues[start], so the orbit is periodic from start on; or, after `limit`
+    residues without a repeat, (residues, None).  Residue r_m gives
+    tent(2^m t) = min(r_m, den - r_m)/den and the Rademacher digit
+    rho_m = -1 if 2 r_m >= den else +1.
+    """
+    den = t.denominator
+    r = t.numerator % den
+    seen: dict[int, int] = {}
+    while r not in seen:
+        if len(seen) == limit:
+            return list(seen), None
+        seen[r] = len(seen)
+        r = 2 * r - den if 2 * r >= den else 2 * r
+    return list(seen), seen[r]
+
+
+def _tents(t: Fraction, limit: int) -> tuple[list[Fraction], int | None]:
+    """tent(2^m t) along `_orbit(t, limit)`, with the orbit's start."""
+    residues, start = _orbit(t, limit)
+    den = t.denominator
+    return [Fraction(min(r, den - r), den) for r in residues], start
+
+
+def _exact_sum(factors: Iterable[Fraction], coefficients: Iterator[Scalar]) -> Scalar:
+    """Exact sum of c_m F_m, one term per factor."""
     total: Scalar = RationalScalar(Fraction(0))
-    pw = Fraction(1)
-    for m in range(n + 1):
-        phi = tent(pw * t)
-        if phi:
-            total = scalar_add(total, scalar_mul(c.coefficient(m), phi))
-        pw *= 2
+    for f, cm in zip(factors, coefficients):
+        if f:
+            total = scalar_add(total, scalar_mul(cm, f))
     return total
 
 
-def _doubling_orbit(t: Fraction) -> tuple[list[Fraction], int]:
-    """Tent values along the doubling orbit of t mod 1; returns (values, preperiod).
-
-    The orbit of a rational becomes periodic within its (odd-part) denominator;
-    the returned list covers preperiod + one full period.
-    """
-    u = t - (t.numerator // t.denominator)
-    seen: dict[Fraction, int] = {}
-    phis: list[Fraction] = []
-    while u not in seen:
-        seen[u] = len(phis)
-        phis.append(min(u, 1 - u))
-        u = 2 * u
-        if u >= 1:
-            u -= 1
-        if len(phis) > ORBIT_CAP:
-            raise DomainError("doubling orbit exceeds cap")
-    return phis, seen[u]
+def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
+    """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t."""
+    t = _check_unit_interval(t)
+    phis, start = _tents(t, n + 1)
+    if start is not None:  # the orbit closed within n + 1 terms
+        phis = chain(phis, cycle(phis[start:]))
+    return _exact_sum(islice(phis, n + 1), c.coefficients())
 
 
 def eval_periodic(c: Geometric, t) -> Scalar:
@@ -344,23 +377,14 @@ def eval_periodic(c: Geometric, t) -> Scalar:
     t = _check_unit_interval(t)
     if not isinstance(c, Geometric):
         raise TypeError("eval_periodic requires a Geometric sequence")
-    try:
-        phis, s = _doubling_orbit(t)
-    except DomainError:
+    phis, s = _tents(t, ORBIT_CAP)
+    if s is None:
         return eval_series(c, t, Fraction(1, 2**96))
-    r = c._ratio
-    p = len(phis) - s
-    total: Scalar = RationalScalar(Fraction(0))
-    for k in range(s):
-        if phis[k]:
-            total = scalar_add(total, scalar_mul(scalar_pow(r, k), phis[k]))
-    block: Scalar = RationalScalar(Fraction(0))
-    for j in range(p):
-        if phis[s + j]:
-            block = scalar_add(block, scalar_mul(scalar_pow(r, j), phis[s + j]))
+    total = _exact_sum(phis[:s], c.coefficients())
+    block = _exact_sum(phis[s:], c.coefficients())
     if scalar_sign(block).sign != 0:
-        geom = scalar_inverse(scalars.scalar_sub(Fraction(1), scalar_pow(r, p)))
-        total = scalar_add(total, scalar_mul(scalar_mul(scalar_pow(r, s), block), geom))
+        geom = scalar_inverse(scalars.scalar_sub(Fraction(1), c.coefficient(len(phis) - s)))
+        total = scalar_add(total, scalar_mul(scalar_mul(c.coefficient(s), block), geom))
     return total
 
 
@@ -373,24 +397,25 @@ def _round_up(x: Fraction, bits: int) -> Fraction:
 
 
 def _dyadic_prefix_bounds(
-    c: CoefficientSequence, n: int, t: Fraction, width: Fraction
+    c: CoefficientSequence, factors: Iterable[tuple[Fraction, Fraction]], n: int, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Enclosure of f_n(t) with dyadically rounded terms (bounded denominators)."""
+    """Enclosure of sum_{m<=n} c_m F_m from enclosures 0 <= lo <= F_m <= hi of F_0, ..., F_n.
+
+    Terms are rounded outward to dyadics, so denominators stay bounded.
+    """
     bits = _bits_for(width / (2 * (n + 2)))
     lo = hi = Fraction(0)
-    pw = Fraction(1)
-    for m in range(n + 1):
-        phi = tent(pw * t)
-        pw *= 2
-        if not phi:
+    for (flo, fhi), cm in zip(islice(factors, n + 1), c.coefficients()):
+        if not fhi:
             continue
-        cm = c.coefficient(m)
         if isinstance(cm, RationalScalar):
             clo = chi = cm.value
         else:
             clo, chi = scalar_enclosure(cm, Fraction(1, 2**bits))
-        lo += _round_down(clo * phi, bits)
-        hi += _round_up(chi * phi, bits)
+        # with F_m >= 0 the sign of a coefficient bound picks the factor
+        # bound, and no two long products are compared
+        lo += _round_down(clo * (flo if clo >= 0 else fhi), bits)
+        hi += _round_up(chi * (fhi if chi >= 0 else flo), bits)
     return lo, hi
 
 
@@ -414,6 +439,19 @@ def _tail_index(c: CoefficientSequence, bound: Fraction, cap: int) -> int | None
     return None
 
 
+def _rounded_bounds(
+    c: CoefficientSequence, factors: Iterable[tuple[Fraction, Fraction]], width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Rounded prefix sum up to the first n with tail_bound(n) <= width/2,
+    plus that tail times max F = 1/2."""
+    n = _tail_index(c, width / 2, _DYADIC_TERM_CAP)
+    if n is None:
+        raise DomainError("tail bound too weak for width %s" % width)
+    lo, hi = _dyadic_prefix_bounds(c, factors, n, width / 2)
+    tail = c.tail_bound(n) / 2
+    return lo - tail, hi + tail
+
+
 def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     half = width / 2
     n = _tail_index(c, half, _DIRECT_TERM_CAP)
@@ -422,41 +460,38 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
         tail = c.tail_bound(n) / 2
         plo, phi = scalar_enclosure(partial, half)
         return plo - tail, phi + tail
-    blockwise = _blockwise_bounds(c, t, width)
-    if blockwise is not None:
-        return blockwise
-    n = _tail_index(c, half, _DYADIC_TERM_CAP)
-    if n is None:
-        raise DomainError("tail bound too weak for width %s" % width)
-    lo, hi = _dyadic_prefix_bounds(c, n, t, half)
-    tail = c.tail_bound(n) / 2
-    return lo - tail, hi + tail
+    phis, start = _tents(t, ORBIT_CAP)
+    if start is None:
+        raise DomainError("doubling orbit exceeds cap")
+    return _periodic_bounds(c, phis, start, width)
 
 
-def _blockwise_bounds(
-    c: CoefficientSequence, t: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction] | None:
-    """Enclosure via residue-class tail sums against the periodic tent orbit."""
-    phis, s = _doubling_orbit(t)
-    p = len(phis) - s
+def _periodic_bounds(
+    c: CoefficientSequence, factors: list[Fraction], start: int, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Enclosure of width <= width of sum_m c_m F_m for exact factors 0 <= F_m <= 1/2.
+
+    F_m = factors[m] for m < len(factors); from `start` on F is periodic with
+    period p = len(factors) - start.  A sequence with residue-class tail
+    enclosures is summed against one period; any other gets a rounded prefix
+    plus its l1 tail bound times max F = 1/2.
+    """
     half = width / 2
-    m0 = s
+    block = factors[start:]
+    p = len(block)
+    pairs = ((f, f) for f in chain(factors, cycle(block)))
+    m0 = start
     for _ in range(80):
         encl = c.residue_tail_enclosures(m0, p)
         if encl is None:
-            return None
-        spread = sum(phis[s + j] * (encl[j][1] - encl[j][0]) for j in range(p))
-        if spread <= half:
             break
+        if sum(f * (hi - lo) for f, (lo, hi) in zip(block, encl)) <= half:
+            lo, hi = _dyadic_prefix_bounds(c, pairs, m0 - 1, half)
+            lo += sum(f * elo for f, (elo, _) in zip(block, encl))
+            hi += sum(f * ehi for f, (_, ehi) in zip(block, encl))
+            return lo, hi
         m0 += p * max(1, m0 // p)
-    else:
-        return None
-    plo, phi = _dyadic_prefix_bounds(c, m0 - 1, t, half)
-    for j in range(p):
-        f = phis[s + j]
-        plo += f * encl[j][0]
-        phi += f * encl[j][1]
-    return plo, phi
+    return _rounded_bounds(c, pairs, width)
 
 
 def eval_series(c: CoefficientSequence, t, target_width) -> IntervalScalar:
@@ -488,12 +523,8 @@ def T_map(rho: SignSequence):
     """
     if rho.period is not None:
         return RationalScalar(t_map_fraction(rho))
-    L = len(rho.prefix)
-    acc = Fraction(0)
-    for n, v in enumerate(rho.prefix):
-        acc += Fraction(1 - v, 2 ** (n + 2))
-    # T(rho) lies in [acc, acc + 2^-L]; the midpoint is within 2^-(L+1)
-    return DyadicRational.from_fraction(acc + Fraction(1, 2 ** (L + 1)))
+    # T(rho) lies in [k/2^L, (k+1)/2^L] for the prefix bits k; the midpoint is within 2^-(L+1)
+    return DyadicRational(2 * _bits_to_int(rho.prefix) + 1, len(rho.prefix) + 1)
 
 
 def t_map_fraction(rho: SignSequence) -> Fraction:
@@ -524,99 +555,63 @@ def rademacher_of(t) -> list[SignSequence]:
 
     Non-dyadic rationals have a single eventually periodic expansion; dyadic
     rationals in (0, 1) have two, with the standard one (infinitely many +1
-    entries) listed first.
-
-    A non-dyadic t = num/den is expanded by walking the integer residue of
-    num mod den under doubling (num -> 2 num - b den with digit b = [2 num >= den]);
-    the first repeated residue marks the start of the period.
+    entries) listed first.  The digits are those of the doubling orbit
+    (`_orbit`), whose first repeated residue marks the start of the period.
     """
     t = _check_unit_interval(t)
     if t == 0:
         return [SignSequence((), (0, (1,)))]
     if t == 1:
         return [SignSequence((), (0, (-1,)))]
+    residues, start = _orbit(t)
+    rho = tuple(-1 if 2 * r >= t.denominator else 1 for r in residues)
     if is_dyadic(t):
-        d = DyadicRational.from_fraction(t)
-        digits = [(d.k >> (d.n - 1 - i)) & 1 for i in range(d.n)]
-        rho = tuple(1 - 2 * b for b in digits)
-        standard = SignSequence(rho, (d.n, (1,)))
-        other = SignSequence(rho[:-1] + (1,), (d.n, (-1,)))
-        return [standard, other]
-    num, den = t.numerator, t.denominator
-    seen: dict[int, int] = {}
-    digits: list[int] = []
-    while num not in seen:
-        seen[num] = len(digits)
-        num *= 2
-        b = num >= den
-        digits.append(b)
-        num -= b * den
-    start = seen[num]
-    rho = tuple(1 - 2 * b for b in digits)
+        # the orbit ends in residue 0 (+1 forever); the other expansion turns
+        # the last -1 into +1 and continues with -1 forever
+        standard = SignSequence(rho[:start], (start, (1,)))
+        return [standard, SignSequence(rho[: start - 1] + (1,), (start, (-1,)))]
     return [SignSequence(rho, (start, rho[start:]))]
 
 
-def _inner_rademacher_sums(rho: SignSequence, upto: int) -> list[tuple[Fraction, Fraction]]:
-    """Enclosures of A_m = sum_{k>=1} 2^-k rho_{m+k} for m = 0..upto."""
+def _rademacher_factors(rho: SignSequence) -> list[Fraction]:
+    """(1 - rho_m A_m)/4 with A_m = sum_{k>=1} 2^-k rho_{m+k}, by A_m = (rho_{m+1} + A_{m+1})/2.
+
+    Periodic rho: exact for m < start + p (seed A_{start+p} = A_start), equal
+    to tent(2^m T(rho)).  Prefix of length L: m < L - 1 (seed A_{L-1} = 0,
+    so A_m is off by at most 2^-(L-1-m)).
+    """
+    signs, a = rho.prefix, Fraction(0)
     if rho.period is not None:
         start, block = rho.period
-        p = len(block)
-
-        def a_tail(j: int) -> Fraction:
-            # for j >= start: A_j = (sum_{k=1..p} 2^-k rho_{j+k}) * 2^p/(2^p - 1)
-            s = Fraction(0)
-            for k in range(1, p + 1):
-                s += Fraction(rho[j + k], 2**k)
-            return s * Fraction(2**p, 2**p - 1)
-
-        exact: dict[int, Fraction] = {}
-        top = max(upto + 1, start)
-        for m in range(top, -1, -1):
-            if m >= start:
-                exact[m] = a_tail(m)
-            else:
-                exact[m] = Fraction(rho[m + 1], 2) + exact[m + 1] / 2
-        return [(exact[m], exact[m]) for m in range(upto + 1)]
-    L = len(rho.prefix)
+        rep = (1 << len(block)) - 1
+        # A_start = (sum_{k=1..p} 2^(p-k) rho_{start+k}) / (2^p - 1)
+        signs = rho.take(start + len(block) + 1)
+        a = Fraction(rep - 2 * _bits_to_int(block[1:] + block[:1]), rep)
     out = []
-    for m in range(upto + 1):
-        if m + 1 >= L:
-            raise InsufficientPrefixError("prefix too short for inner sums")
-        s = Fraction(0)
-        for k in range(1, L - m):
-            s += Fraction(rho.prefix[m + k], 2**k)
-        err = Fraction(1, 2 ** (L - m - 1))
-        out.append((s - err, s + err))
-    return out
+    for m in range(len(signs) - 2, -1, -1):
+        a = (signs[m + 1] + a) / 2
+        out.append((1 - signs[m] * a) / 4)
+    return out[::-1]
 
 
 def eval_from_rademacher(c: CoefficientSequence, rho: SignSequence, target_width) -> IntervalScalar:
     """Enclosure of f(T(rho)) computed from the expansion alone.
 
-    Uses f(t) = (1/4) sum_m c_m (1 - sum_k 2^-k rho_m rho_{m+k}); must overlap
-    eval_series at the same point.
+    Uses f(t) = (1/4) sum_m c_m (1 - rho_m A_m) with A_m = sum_{k>=1} 2^-k
+    rho_{m+k}; must overlap eval_series at the same point.
     """
     width = Fraction(target_width)
-    half = width / 2
-    n = _tail_index(c, half, _DYADIC_TERM_CAP)
-    if n is None:
-        raise DomainError("tail bound too weak for width %s" % width)
-    inner = _inner_rademacher_sums(rho, n)
-    bits = _bits_for(half / (2 * (n + 2)))
-    lo = hi = Fraction(0)
-    for m in range(n + 1):
-        alo, ahi = inner[m]
-        rm = rho[m]
-        factor_lo, factor_hi = 1 - rm * ahi, 1 - rm * alo
-        if factor_lo > factor_hi:
-            factor_lo, factor_hi = factor_hi, factor_lo
-        cm = c.coefficient(m)
-        if isinstance(cm, RationalScalar):
-            clo = chi = cm.value
-        else:
-            clo, chi = scalar_enclosure(cm, Fraction(1, 2**bits))
-        cands = (clo * factor_lo, clo * factor_hi, chi * factor_lo, chi * factor_hi)
-        lo += _round_down(min(cands), bits)
-        hi += _round_up(max(cands), bits)
-    tail = c.tail_bound(n) / 2
-    return IntervalScalar(lo / 4 - tail, hi / 4 + tail)
+    factors = _rademacher_factors(rho)
+    if rho.period is not None:
+        return IntervalScalar(*_periodic_bounds(c, factors, rho.period[0], width))
+    L = len(rho.prefix)
+
+    def pairs():
+        # F_m is within 2^-(L+1-m) of factors[m], and never negative
+        for m, f in enumerate(factors):
+            err = Fraction(1, 2 ** (L + 1 - m))
+            yield max(f - err, 0), f + err
+        # the sum needs a factor past the prefix
+        raise InsufficientPrefixError("prefix too short for inner sums")
+
+    return IntervalScalar(*_rounded_bounds(c, pairs(), width))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intpoly
+from .evaluate import BudgetError
 from .intpoly import IntPoly
 from .scalars import (
     RationalScalar,
@@ -31,10 +32,6 @@ POS_LO, POS_HI = Fraction(1, 2), Fraction(2)
 ROOT_WIDTH = Fraction(1, 2**40)
 _BIN_WIDTH_BITS = 12  # isolation width for binning/dedup inside the scan
 MAX_SCAN_DEGREE = 24
-
-
-class BudgetError(ValueError):
-    """Requested scan exceeds the degree budget guard."""
 
 
 @dataclass(frozen=True)

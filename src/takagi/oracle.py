@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .evaluate import DyadicRational
+from .evaluate import BudgetError, DyadicRational
 
 GRID_CAP = 24
-
-
-class BudgetError(ValueError):
-    """Grid generation beyond the exhaustive-evaluation budget."""
 
 
 def _tent(x: Fraction) -> Fraction:

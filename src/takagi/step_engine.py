@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import scalars
 from .evaluate import (
@@ -508,8 +509,8 @@ def _value_near(c, t: Fraction, eps: Fraction, width: Fraction) -> tuple[Fractio
         cut += 1
     slack = Fraction(0)
     pw = Fraction(1)
-    for m in range(cut):
-        clo, chi = scalar_enclosure(c.coefficient(m), Fraction(1, 2**48))
+    for cm in islice(c.coefficients(), cut):
+        clo, chi = scalar_enclosure(cm, Fraction(1, 2**48))
         slack += max(abs(clo), abs(chi)) * pw * eps
         pw *= 2
     if cut == 0:

@@ -91,6 +91,12 @@ def test_exit_codes(capsys):
     assert code == 0  # resolvable algebraic input works at tiny depth
 
 
+def test_unread_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--jobs", "2"])
+    assert exc.value.code == cli.EXIT_USAGE == 1
+
+
 def test_unresolved_interval_exit(monkeypatch, capsys):
     from takagi import scalars as sc
 

@@ -104,6 +104,14 @@ def test_eval_series_encloses_periodic():
             assert enc.hi - enc.lo <= F(1, 2**40)
 
 
+def test_eval_series_slow_geometric_decay():
+    # ratio -199/200: the rounded-prefix path sums about 8,200 terms
+    c = geometric(F(-199, 100))
+    exact = ev.eval_periodic(c, F(1, 3)).value
+    enc = ev.eval_series(c, F(1, 3), F(1, 10**15))
+    assert enc.lo <= exact <= enc.hi and enc.hi - enc.lo <= F(1, 10**15)
+
+
 def test_eval_series_symmetry():
     rng = random.Random(9)
     c = ev.PowerSquared()
@@ -172,6 +180,34 @@ def test_round_trip_long_period():
     start, block = rho.period
     assert start == 6 and len(block) == 12500
     assert ev.t_map_fraction(rho) == t
+
+
+signs = st.lists(st.sampled_from((-1, 1)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signs, signs.filter(bool))
+def test_rademacher_factors_are_tents(pre, block):
+    # (1 - rho_m A_m)/4 = tent(2^m T(rho)), exactly, through two periods
+    rho = ev.SignSequence(tuple(pre), (len(pre), tuple(block)))
+    factors = ev._rademacher_factors(rho)
+    t = ev.t_map_fraction(rho)
+    start, p = len(pre), len(block)
+    assert len(factors) == start + p
+    for m in range(start + 2 * p):
+        f = factors[m] if m < start + p else factors[m - p]
+        assert f == ev.tent(2**m * t)
+
+
+def test_three_routes_long_period():
+    # 2 has order 2,500 mod 3125
+    t = F(1, 3125)
+    c = geometric(1)
+    (rho,) = ev.rademacher_of(t)
+    assert len(rho.period[1]) == 2500
+    exact = ev.eval_periodic(c, t).value
+    for enc in (ev.eval_series(c, t, F(1, 2**40)), ev.eval_from_rademacher(c, rho, F(1, 2**40))):
+        assert enc.lo <= exact <= enc.hi and enc.hi - enc.lo <= F(1, 2**40)
 
 
 def test_eleven_twentyfourths_expansion():
