@@ -7,10 +7,10 @@ nearest integer.  This module evaluates such functions exactly at rationals
 elsewhere, and converts between points in [0, 1] and their +-1 Rademacher
 digit sequences.
 
-One walker, `_orbit`, follows the doubling orbit in integer residues; one
-kernel, `_periodic_bounds` over the rounded prefix `_dyadic_prefix_bounds`,
-sums c_m against an eventually periodic factor, be it tent values or the
-Rademacher form's (1 - rho_m A_m)/4.
+One walker, `_residues`, follows the doubling orbit in integer residues
+(`_orbit` finds its period); one kernel, `_periodic_bounds` over the rounded
+prefix `_dyadic_prefix_bounds`, sums c_m against an eventually periodic
+factor, be it tent values or the Rademacher form's (1 - rho_m A_m)/4.
 """
 
 from __future__ import annotations
@@ -213,7 +213,9 @@ class Geometric(CoefficientSequence):
         return scalar_pow(self.alpha, m)
 
     def tail_bound(self, n: int) -> Fraction:
-        lo, hi = scalar_enclosure(self._ratio, Fraction(1, 2**16))
+        # whatever enclosure of the ratio is reachable, refined toward 2^-16
+        # where it can be: a wide interval alpha still bounds the tail
+        lo, hi = scalars._enclose(self._ratio, Fraction(1, 2**16))
         q = max(abs(lo), abs(hi))
         if q >= 1:
             raise DomainError("geometric ratio not inside (-1, 1)")
@@ -323,31 +325,39 @@ def _check_unit_interval(t: Fraction) -> Fraction:
     return t
 
 
-def _orbit(t: Fraction, limit: int | None = None) -> tuple[list[int], int | None]:
-    """Doubling orbit of t = num/den mod 1 as the integer residues r_m = 2^m num mod den.
+def _residues(t: Fraction) -> Iterator[int]:
+    """The integer residues r_m = 2^m num mod den of t = num/den, m = 0, 1, ...
 
-    Returns (residues, start) where the next residue would repeat
-    residues[start], so the orbit is periodic from start on; or, after `limit`
-    residues without a repeat, (residues, None).  Residue r_m gives
-    tent(2^m t) = min(r_m, den - r_m)/den and the Rademacher digit
-    rho_m = -1 if 2 r_m >= den else +1.
+    Residue r_m gives tent(2^m t) = min(r_m, den - r_m)/den and the
+    Rademacher digit rho_m = -1 if 2 r_m >= den else +1.
     """
     den = t.denominator
     r = t.numerator % den
+    while True:
+        yield r
+        r = 2 * r - den if 2 * r >= den else 2 * r
+
+
+def _orbit(t: Fraction, limit: int | None = None) -> tuple[list[int], int | None]:
+    """Doubling orbit of t mod 1 as its `_residues`.
+
+    Returns (residues, start) where the next residue would repeat
+    residues[start], so the orbit is periodic from start on; or, after `limit`
+    residues without a repeat, (residues, None).
+    """
     seen: dict[int, int] = {}
-    while r not in seen:
+    for r in _residues(t):
+        if r in seen:
+            return list(seen), seen[r]
         if len(seen) == limit:
             return list(seen), None
         seen[r] = len(seen)
-        r = 2 * r - den if 2 * r >= den else 2 * r
-    return list(seen), seen[r]
 
 
-def _tents(t: Fraction, limit: int) -> tuple[list[Fraction], int | None]:
-    """tent(2^m t) along `_orbit(t, limit)`, with the orbit's start."""
-    residues, start = _orbit(t, limit)
+def _tents(t: Fraction, residues: Iterable[int]) -> Iterator[Fraction]:
+    """tent(2^m t) for the residues r_m of t."""
     den = t.denominator
-    return [Fraction(min(r, den - r), den) for r in residues], start
+    return (Fraction(min(r, den - r), den) for r in residues)
 
 
 def _exact_sum(factors: Iterable[Fraction], coefficients: Iterator[Scalar]) -> Scalar:
@@ -362,10 +372,7 @@ def _exact_sum(factors: Iterable[Fraction], coefficients: Iterator[Scalar]) -> S
 def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
     """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t."""
     t = _check_unit_interval(t)
-    phis, start = _tents(t, n + 1)
-    if start is not None:  # the orbit closed within n + 1 terms
-        phis = chain(phis, cycle(phis[start:]))
-    return _exact_sum(islice(phis, n + 1), c.coefficients())
+    return _exact_sum(_tents(t, islice(_residues(t), n + 1)), c.coefficients())
 
 
 def eval_periodic(c: Geometric, t) -> Scalar:
@@ -377,9 +384,10 @@ def eval_periodic(c: Geometric, t) -> Scalar:
     t = _check_unit_interval(t)
     if not isinstance(c, Geometric):
         raise TypeError("eval_periodic requires a Geometric sequence")
-    phis, s = _tents(t, ORBIT_CAP)
+    residues, s = _orbit(t, ORBIT_CAP)
     if s is None:
         return eval_series(c, t, Fraction(1, 2**96))
+    phis = list(_tents(t, residues))
     total = _exact_sum(phis[:s], c.coefficients())
     block = _exact_sum(phis[s:], c.coefficients())
     if scalar_sign(block).sign != 0:
@@ -460,10 +468,11 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
         tail = c.tail_bound(n) / 2
         plo, phi = scalar_enclosure(partial, half)
         return plo - tail, phi + tail
-    phis, start = _tents(t, ORBIT_CAP)
+    residues, start = _orbit(t, ORBIT_CAP)
     if start is None:
-        raise DomainError("doubling orbit exceeds cap")
-    return _periodic_bounds(c, phis, start, width)
+        # no period within the cap: the rounded prefix needs only its n + 1 tents
+        return _rounded_bounds(c, ((f, f) for f in _tents(t, _residues(t))), width)
+    return _periodic_bounds(c, list(_tents(t, residues)), start, width)
 
 
 def _periodic_bounds(

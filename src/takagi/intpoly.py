@@ -10,6 +10,7 @@ bisection driven by Sturm counts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,12 +70,7 @@ def derivative(p: IntPoly) -> IntPoly:
 
 def content(p: IntPoly) -> int:
     """Positive gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in p:
-        g = _gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
+    return math.gcd(*p)
 
 
 def primitive(p: IntPoly) -> IntPoly:
@@ -82,12 +78,6 @@ def primitive(p: IntPoly) -> IntPoly:
     if g <= 1:
         return p
     return tuple(c // g for c in p)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def eval_int(p: IntPoly, a: int) -> int:
@@ -128,6 +118,25 @@ def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fra
     for c in reversed(p):
         cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
         vlo, vhi = min(cands) + c, max(cands) + c
+    return vlo, vhi
+
+
+def eval_interval_scaled(p: IntPoly, anum: int, bnum: int, den: int) -> tuple[int, int]:
+    """Scaled enclosure of p over [anum, bnum] / den (den > 0) by interval Horner.
+
+    Returns (vlo, vhi) scaled by the positive factor den^(deg p): exactly
+    `eval_interval` over the Fraction endpoints times that factor, in
+    integers only.
+    """
+    if not p:
+        return 0, 0
+    vlo = vhi = p[-1]
+    dp = 1
+    for c in reversed(p[:-1]):
+        dp *= den
+        cands = (vlo * anum, vlo * bnum, vhi * anum, vhi * bnum)
+        cs = c * dp
+        vlo, vhi = min(cands) + cs, max(cands) + cs
     return vlo, vhi
 
 

@@ -18,6 +18,7 @@ enclosure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -194,37 +195,77 @@ def _vec_is_all_zero(a) -> bool:
     return all(c == 0 for c in a)
 
 
-def _clear_denominators(vec: tuple[Fraction, ...]) -> IntPoly:
-    lcm = 1
-    for c in vec:
-        d = c.denominator
-        lcm = lcm * d // intpoly._gcd(lcm, d)
-    return intpoly.normalize([int(c * lcm) for c in vec])
+def _clear_denominators(vec: tuple[Fraction, ...]) -> tuple[IntPoly, int]:
+    """(V, L) with V = L * vec an integer polynomial and L > 0 the lcm of the denominators."""
+    lcm = math.lcm(*(c.denominator for c in vec))
+    return intpoly.normalize([c.numerator * (lcm // c.denominator) for c in vec]), lcm
 
 
-def _alg_bisect(a: AlgebraicScalar) -> AlgebraicScalar | RationalScalar:
-    """Halve the base isolating interval (one bisection step)."""
-    mid = (a.lo + a.hi) / 2
-    sm = intpoly.sign_at(a.poly, mid)
-    if sm == 0:
-        return _apply_value_rational(mid, a.value)
-    if sm == intpoly.sign_at(a.poly, a.lo):
-        return AlgebraicScalar(a.poly, mid, a.hi, a.value)
-    return AlgebraicScalar(a.poly, a.lo, mid, a.value)
+class _Bisection:
+    """Bisection of an algebraic scalar's base bracket, in integers.
+
+    Bracket k is (A/D, B/D), the base interval halved k times toward the
+    root.  Every bracket reached is kept, so a query can go back to any depth
+    it has already walked.  A midpoint that is itself the root ends the walk:
+    `root` holds it, and no deeper bracket exists.
+    """
+
+    def __init__(self, a: AlgebraicScalar):
+        den = math.lcm(a.lo.denominator, a.hi.denominator)
+        self.a = a
+        self.brackets = [(int(a.lo * den), int(a.hi * den), den)]
+        self.sign_lo = intpoly.sign_at(a.poly, a.lo)
+        self.root: Fraction | None = None
+        # v = V/L, evaluated by the integer kernel: scaling by the positive
+        # L * D^deg V keeps min and max, so the bounds are exactly those of
+        # Fraction interval Horner
+        self.v, self.lcm = _clear_denominators(a.value)
+
+    def at(self, depth: int) -> tuple[int, int, int] | None:
+        """Bracket (A, B, D) at `depth`, or None past a midpoint root."""
+        while len(self.brackets) <= depth and self.root is None:
+            if len(self.brackets) > _REFINE_STEP_LIMIT:
+                raise RuntimeError("algebraic bisection failed to converge")
+            A, B, D = self.brackets[-1]
+            mid = Fraction(A + B, 2 * D)
+            sm = intpoly.sign_at(self.a.poly, mid)
+            if sm == 0:
+                self.root = mid
+            elif sm == self.sign_lo:
+                self.brackets.append((A + B, 2 * B, 2 * D))
+            else:
+                self.brackets.append((2 * A, A + B, 2 * D))
+        return self.brackets[depth] if depth < len(self.brackets) else None
+
+    def bounds(self, depth: int) -> tuple[Fraction, Fraction]:
+        """Enclosure of v(alpha) from bracket `depth`; past a midpoint root, the exact value.
+
+        Interval Horner is inclusion-monotone, so the enclosures are nested
+        and their width never grows with depth.
+        """
+        bracket = self.at(depth)
+        if bracket is None:
+            r = _apply_value_rational(self.root, self.a.value).value
+            return r, r
+        vlo, vhi = intpoly.eval_interval_scaled(self.v, *bracket)
+        scale = self.lcm * bracket[2] ** max(intpoly.degree(self.v), 0)
+        return Fraction(vlo, scale), Fraction(vhi, scale)
 
 
-def _alg_refine_base(a: AlgebraicScalar, width: Fraction) -> AlgebraicScalar | RationalScalar:
-    cur: AlgebraicScalar | RationalScalar = a
-    while isinstance(cur, AlgebraicScalar) and cur.hi - cur.lo > width:
-        cur = _alg_bisect(cur)
-    return cur
+def _next_depth(depth: int) -> int:
+    """Depths 0, 4, 8, 16, ...: O(log d) value evaluations to reach depth d."""
+    if depth > _REFINE_STEP_LIMIT:
+        raise RuntimeError("algebraic refinement failed to converge")
+    return max(4, 2 * depth)
 
 
-def _alg_value_zero(a: AlgebraicScalar) -> bool:
-    """Exact test of v(alpha) == 0 via gcd against the defining polynomial."""
-    if _vec_is_all_zero(a.value):
+def _alg_value_zero(a: AlgebraicScalar, v: IntPoly) -> bool:
+    """Exact test of v(alpha) == 0 via gcd against the defining polynomial.
+
+    `v` is the value polynomial cleared of denominators.
+    """
+    if not v:
         return True
-    v = _clear_denominators(a.value)
     g = intpoly.poly_gcd(a.poly, v)
     if intpoly.degree(g) < 1:
         return False
@@ -234,39 +275,38 @@ def _alg_value_zero(a: AlgebraicScalar) -> bool:
 
 
 def _alg_sign(a: AlgebraicScalar) -> int:
-    if _alg_value_zero(a):
+    walk = _Bisection(a)
+    if _alg_value_zero(a, walk.v):
         return 0
-    cur: AlgebraicScalar | RationalScalar = a
-    for _ in range(_REFINE_STEP_LIMIT):
-        if isinstance(cur, RationalScalar):
-            return _sign_of_fraction(cur.value)
-        vlo, vhi = _frac_poly_interval(cur.value, cur.lo, cur.hi)
-        if vlo > 0:
+    # v(alpha) != 0, so the first enclosure that excludes 0 has its sign
+    depth = 0
+    while True:
+        lo, hi = walk.bounds(depth)
+        if lo > 0:
             return 1
-        if vhi < 0:
+        if hi < 0:
             return -1
-        cur = _alg_bisect(cur)
-    raise RuntimeError("algebraic sign refinement failed to converge")
-
-
-def _frac_poly_interval(vec, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    vlo = vhi = Fraction(0)
-    for c in reversed(vec):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
+        depth = _next_depth(depth)
 
 
 def _alg_enclosure(a: AlgebraicScalar, width: Fraction) -> tuple[Fraction, Fraction]:
-    cur: AlgebraicScalar | RationalScalar = a
-    for _ in range(_REFINE_STEP_LIMIT):
-        if isinstance(cur, RationalScalar):
-            return cur.value, cur.value
-        vlo, vhi = _frac_poly_interval(cur.value, cur.lo, cur.hi)
-        if vhi - vlo <= width:
-            return vlo, vhi
-        cur = _alg_bisect(cur)
-    raise RuntimeError("algebraic enclosure refinement failed to converge")
+    """Bounds at the first bisection depth whose value width is <= `width`.
+
+    The width never grows with depth, so a galloping search and then a binary
+    search over depth find the depth that bisecting one step at a time finds.
+    """
+    walk = _Bisection(a)
+    failed, depth = -1, 0
+    while (b := walk.bounds(depth))[1] - b[0] > width:
+        failed, depth = depth, _next_depth(depth)
+    while depth - failed > 1:
+        mid = (failed + depth) // 2
+        bm = walk.bounds(mid)
+        if bm[1] - bm[0] <= width:
+            depth, b = mid, bm
+        else:
+            failed = mid
+    return b
 
 
 def _alg_localize(a: AlgebraicScalar, offender: IntPoly) -> AlgebraicScalar:
@@ -346,7 +386,7 @@ def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
         if len(g) == 1:
             inv = tuple(c / g[0] for c in s)
             return AlgebraicScalar(cur.poly, cur.lo, cur.hi, _reduce_vec(inv, cur.poly))
-        cur = _alg_localize(cur, _clear_denominators(tuple(g)))
+        cur = _alg_localize(cur, _clear_denominators(tuple(g))[0])
     raise RuntimeError("algebraic inverse failed to localize")
 
 
@@ -392,7 +432,7 @@ def _current_bounds(a: Scalar) -> tuple[Fraction, Fraction]:
     if isinstance(a, RationalScalar):
         return a.value, a.value
     if isinstance(a, AlgebraicScalar):
-        return _frac_poly_interval(a.value, a.lo, a.hi)
+        return _Bisection(a).bounds(0)
     return a.lo, a.hi
 
 
@@ -599,7 +639,14 @@ def refine(a, width) -> Scalar:
     if isinstance(a, RationalScalar):
         return a
     if isinstance(a, AlgebraicScalar):
-        return _alg_refine_base(a, width)
+        # the first bracket of width <= width, or the root if a midpoint hits it
+        walk, depth = _Bisection(a), 0
+        while (bracket := walk.at(depth)) is not None and bracket[1] - bracket[0] > width * bracket[2]:
+            depth += 1
+        if bracket is None:
+            return _apply_value_rational(walk.root, a.value)
+        A, B, D = bracket
+        return AlgebraicScalar(a.poly, Fraction(A, D), Fraction(B, D), a.value)
     lo, hi = _enclose(a, width)
     return IntervalScalar(lo, hi, a.refine_fn)
 

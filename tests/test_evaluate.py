@@ -288,3 +288,32 @@ def test_geometric_tail_bound():
     for n in (0, 3, 10):
         assert c.tail_bound(n) >= F(3, 4) ** (n + 1) / (1 - F(3, 4))
         assert c.tail_bound(n + 1) <= c.tail_bound(n)
+
+
+def test_geometric_over_wide_interval_alpha():
+    # alpha in [0.54, 0.55] with no refinement hook: the tail is bounded by
+    # the ratio's own enclosure, max |alpha/2| = 0.275
+    c = ev.Geometric(sc.interval(F(54, 100), F(55, 100)))
+    assert c.tail_bound(3) == F(55, 200) ** 4 / (1 - F(55, 200))
+    enc = ev.eval_series(c, F(1, 3), F(1, 10))
+    assert enc.hi - enc.lo <= F(1, 10)
+    for alpha in (F(54, 100), F(55, 100)):
+        assert enc.lo <= ev.eval_periodic(ev.Geometric(alpha), F(1, 3)).value <= enc.hi
+    # f(1/3) moves by about 3e-3 over the interval, so no certified enclosure
+    # of width 10^-6 exists: the partial sum, not the ratio, is what fails
+    with pytest.raises(sc.PrecisionError, match="1/2000000"):
+        ev.eval_series(c, F(1, 3), F(1, 10**6))
+
+
+def test_eval_series_past_orbit_cap(monkeypatch):
+    # the period of 1/37 is 36; a slowly decaying sequence takes the
+    # rounded-prefix path, which needs only the first n + 1 tent values
+    c = ev.Geometric(F(199, 100))
+    t, width = F(1, 37), F(1, 10**6)
+    uncapped = ev.eval_series(c, t, width)
+    lo, hi = sc.scalar_enclosure(ev.eval_periodic(c, t), F(1, 2**80))
+    monkeypatch.setattr(ev, "ORBIT_CAP", 8)
+    capped = ev.eval_series(c, t, width)
+    assert capped.hi - capped.lo <= width
+    assert capped.lo <= uncapped.hi and uncapped.lo <= capped.hi
+    assert capped.lo <= lo and hi <= capped.hi

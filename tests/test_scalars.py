@@ -1,5 +1,6 @@
 """Exact scalar tower: rationals, algebraic numbers, interval enclosures."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from takagi import intpoly as ip
 from takagi import scalars as sc
 
 
@@ -168,3 +170,163 @@ def test_serialization_forms():
 def test_decimal_rendering():
     assert sc.scalar_decimal(sc.rational(F(2, 3)), 10) == "0.6666666667"
     assert sc.scalar_decimal(sqrt2(), 15) == "1.41421356237310"
+
+
+# ---------------------------------------------------------------------------
+# algebraic sign, enclosure and refine against step-by-step Fraction bisection
+
+
+def _ref_brackets(a):
+    """Brackets of one-step-at-a-time Fraction bisection; a midpoint root ends it."""
+    lo, hi = a.lo, a.hi
+    while True:
+        yield lo, hi
+        mid = (lo + hi) / 2
+        sm = ip.sign_at(a.poly, mid)
+        if sm == 0:
+            yield mid
+            return
+        if sm == ip.sign_at(a.poly, lo):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _ref_value_at(vec, x):
+    acc = F(0)
+    for c in reversed(vec):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_interval(vec, lo, hi):
+    vlo = vhi = F(0)
+    for c in reversed(vec):
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + c, max(cands) + c
+    return vlo, vhi
+
+
+def _ref_sign(a):
+    den = math.lcm(*(c.denominator for c in a.value))
+    v = ip.normalize([int(c * den) for c in a.value])
+    if not v:
+        return 0
+    g = ip.poly_gcd(a.poly, v)
+    if ip.degree(g) >= 1 and ip.sign_at(g, a.lo) * ip.sign_at(g, a.hi) < 0:
+        return 0
+    for br in _ref_brackets(a):
+        if not isinstance(br, tuple):
+            x = _ref_value_at(a.value, br)
+            return (x > 0) - (x < 0)
+        vlo, vhi = _ref_interval(a.value, *br)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+
+
+def _ref_enclosure(a, width):
+    for br in _ref_brackets(a):
+        if not isinstance(br, tuple):
+            x = _ref_value_at(a.value, br)
+            return x, x
+        vlo, vhi = _ref_interval(a.value, *br)
+        if vhi - vlo <= width:
+            return vlo, vhi
+
+
+def _ref_refine(a, width):
+    for br in _ref_brackets(a):
+        if not isinstance(br, tuple):
+            return ("root", _ref_value_at(a.value, br))
+        if br[1] - br[0] <= width:
+            return ("bracket", br)
+
+
+def _check_against_reference(a, widths):
+    assert sc.scalar_sign(a).sign == _ref_sign(a)
+    for w in widths:
+        assert sc.scalar_enclosure(a, w) == _ref_enclosure(a, w)
+        r = sc.refine(a, w)
+        if isinstance(r, sc.RationalScalar):
+            assert _ref_refine(a, w) == ("root", r.value)
+        else:
+            assert r.value == a.value and r.poly == a.poly
+            assert _ref_refine(a, w) == ("bracket", (r.lo, r.hi))
+
+
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+widths = st.lists(
+    st.one_of(
+        st.integers(0, 70).map(lambda k: F(1, 2**k)),
+        st.integers(0, 20).map(lambda k: F(1, 10**k)),
+        st.fractions(min_value=F(1, 10**4), max_value=4, max_denominator=10**4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=9),
+    st.integers(0, 8),
+    st.lists(small_fractions, min_size=1, max_size=8),
+    widths,
+)
+def test_algebraic_queries_match_stepwise_bisection(signs, pick, vec, ws):
+    p = ip.squarefree_part(tuple(signs[:-1]) + (1,))
+    brackets = [iv for iv in ip.isolate_roots(p, F(-2), F(2)) if iv[0] != iv[1]]
+    if not brackets:
+        return
+    lo, hi = brackets[pick % len(brackets)]
+    a = sc.algebraic(p, lo, hi, vec)
+    if isinstance(a, sc.AlgebraicScalar):
+        _check_against_reference(a, ws)
+
+
+def test_algebraic_queries_non_dyadic_base_interval():
+    a = sc.algebraic([-2, 0, 1], F(1, 3), 2)
+    ws = [F(1, 2**k) for k in (0, 1, 5, 17, 40, 64)] + [F(1, 3), F(2, 7), F(1, 10**12)]
+    for vec in ([0, 1], [F(-7, 5), 1], [F(1, 3), F(-2, 9)], [5]):
+        _check_against_reference(sc.algebraic([-2, 0, 1], F(1, 3), 2, vec), ws)
+    assert sc.scalar_sign(sc.scalar_sub(a, F(1414213562, 10**9))).sign == 1
+
+
+def test_algebraic_queries_midpoint_hits_rational_root():
+    # (4x - 3)(x^2 - 2) on (1/2, 1): the first midpoint 3/4 is the root
+    p = ip.mul((-3, 4), (-2, 0, 1))
+    a = sc.algebraic(p, F(1, 2), 1)
+    assert isinstance(a, sc.AlgebraicScalar)
+    ws = [F(1), F(1, 2), F(1, 4), F(1, 2**30), F(1, 10**6)]
+    for vec in ([0, 1], [F(-3, 4), 1], [1, 1, 1], [F(5, 2), F(-3, 7), 2]):
+        _check_against_reference(sc.algebraic(p, F(1, 2), 1, vec), ws)
+    assert sc.refine(a, F(1, 4)) == sc.RationalScalar(F(3, 4))
+    assert sc.scalar_enclosure(a, F(1, 2)) == (F(1, 2), F(1))
+    # (8x - 3)(x^2 - 2) on (0, 1): the midpoint of depth-2 bracket (1/4, 1/2)
+    # is the root, and a width that bracket meets must still return it
+    p = ip.mul((-3, 8), (-2, 0, 1))
+    ws += [F(1, 3), F(1, 8)]
+    for vec in ([0, 1], [F(-3, 8), 1], [1, F(2, 3)], [F(1, 5), 3, -1]):
+        _check_against_reference(sc.algebraic(p, 0, 1, vec), ws)
+    b = sc.algebraic(p, 0, 1)
+    assert sc.scalar_enclosure(b, F(1, 4)) == (F(1, 4), F(1, 2))
+    assert sc.scalar_enclosure(b, F(1, 8)) == (F(3, 8), F(3, 8))
+
+
+def test_deep_sign_query_takes_logarithmically_many_evaluations(monkeypatch):
+    # q is sqrt2 truncated to 200 bits, so sqrt2 - q < 2^-200 needs depth >= 200
+    q = F(math.isqrt(2 << 400), 2**200)
+    v = sc.scalar_sub(sqrt2(), q)
+    calls = []
+    kernel = ip.eval_interval_scaled
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ip, "eval_interval_scaled", counted)
+    assert sc.scalar_sign(v).sign == 1
+    assert max(args[3] for args in calls).bit_length() - 1 >= 200  # the depth reached
+    assert len(calls) <= 2 * math.log2(200) + 8
