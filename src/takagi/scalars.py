@@ -223,9 +223,9 @@ class _Bisection:
 
     def at(self, depth: int) -> tuple[int, int, int] | None:
         """Bracket (A, B, D) at `depth`, or None past a midpoint root."""
+        if depth > _REFINE_STEP_LIMIT:
+            raise RuntimeError("algebraic bisection failed to converge")
         while len(self.brackets) <= depth and self.root is None:
-            if len(self.brackets) > _REFINE_STEP_LIMIT:
-                raise RuntimeError("algebraic bisection failed to converge")
             A, B, D = self.brackets[-1]
             mid = Fraction(A + B, 2 * D)
             sm = intpoly.sign_at(self.a.poly, mid)
@@ -254,8 +254,6 @@ class _Bisection:
 
 def _next_depth(depth: int) -> int:
     """Depths 0, 4, 8, 16, ...: O(log d) value evaluations to reach depth d."""
-    if depth > _REFINE_STEP_LIMIT:
-        raise RuntimeError("algebraic refinement failed to converge")
     return max(4, 2 * depth)
 
 
