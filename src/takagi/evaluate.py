@@ -18,7 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, cycle, islice
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
@@ -165,6 +165,10 @@ class CoefficientSequence(ABC):
         """2^m c_m, the slope increment used by the step recursion."""
         return scalar_mul(self.coefficient(m), Fraction(2**m))
 
+    def weights(self) -> Iterator[Scalar]:
+        """w_0, w_1, ... in order, for callers that walk consecutive weights."""
+        return map(self.weight, count())
+
     # Optional structure hooks used by the step engine's certificates.
 
     def geometric_ratio(self) -> Scalar | None:
@@ -203,14 +207,16 @@ class Geometric(CoefficientSequence):
         return scalar_pow(self._ratio, m)
 
     def coefficients(self) -> Iterator[Scalar]:
-        # a running product: scalar_pow's exact values at one product a term
-        cm: Scalar = RationalScalar(Fraction(1))
-        while True:
-            yield cm
-            cm = scalar_mul(cm, self._ratio)
+        return _powers(self._ratio)
 
     def weight(self, m: int) -> Scalar:
         return scalar_pow(self.alpha, m)
+
+    def weights(self) -> Iterator[Scalar]:
+        # a running product would change an interval alpha's enclosures
+        if isinstance(self.alpha, IntervalScalar):
+            return super().weights()
+        return _powers(self.alpha)
 
     def tail_bound(self, n: int) -> Fraction:
         # whatever enclosure of the ratio is reachable, refined toward 2^-16
@@ -226,6 +232,11 @@ class Geometric(CoefficientSequence):
 
     def __repr__(self) -> str:
         return f"Geometric({self.alpha})"
+
+
+def _powers(x: Scalar) -> Iterator[Scalar]:
+    """1, x, x^2, ... as a running product: scalar_pow's exact values at one product a term."""
+    return accumulate(repeat(x), scalar_mul, initial=RationalScalar(Fraction(1)))
 
 
 class PowerSquared(CoefficientSequence):
@@ -468,11 +479,13 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
         tail = c.tail_bound(n) / 2
         plo, phi = scalar_enclosure(partial, half)
         return plo - tail, phi + tail
-    residues, start = _orbit(t, ORBIT_CAP)
-    if start is None:
-        # no period within the cap: the rounded prefix needs only its n + 1 tents
-        return _rounded_bounds(c, ((f, f) for f in _tents(t, _residues(t))), width)
-    return _periodic_bounds(c, list(_tents(t, residues)), start, width)
+    if type(c).residue_tail_enclosures is not CoefficientSequence.residue_tail_enclosures:
+        residues, start = _orbit(t, ORBIT_CAP)
+        if start is not None:
+            return _periodic_bounds(c, list(_tents(t, residues)), start, width)
+    # without residue-class tails, or without a period within the cap, the
+    # rounded prefix needs only its n + 1 tents and never walks the period
+    return _rounded_bounds(c, ((f, f) for f in _tents(t, _residues(t))), width)
 
 
 def _periodic_bounds(

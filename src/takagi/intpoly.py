@@ -100,8 +100,12 @@ def eval_fraction(p: IntPoly, x: Fraction) -> Fraction:
 
 
 def sign_at(p: IntPoly, x: Fraction) -> int:
-    """Exact sign of p(x): the numerator of the cleared-denominator value."""
-    num, den = x.numerator, x.denominator
+    """Exact sign of p(x)."""
+    return sign_at_scaled(p, x.numerator, x.denominator)
+
+
+def sign_at_scaled(p: IntPoly, num: int, den: int) -> int:
+    """Sign of p(num / den) for den > 0, in integers: the sign of den^(deg p) p(num / den)."""
     if not p:
         return 0
     v = p[-1]

@@ -134,8 +134,9 @@ def algebraic(poly: Sequence[int], lo, hi, value: Sequence[Fraction] | None = No
     chain = intpoly.sturm_chain(p)
     if intpoly.count_roots(chain, lo, hi) != 1:
         raise ValueError("algebraic: interval does not isolate exactly one root")
-    vec = (Fraction(0), Fraction(1)) if value is None else _reduce_vec(tuple(Fraction(c) for c in value), p)
-    return AlgebraicScalar(p, lo, hi, vec)
+    if value is None:
+        return AlgebraicScalar(p, lo, hi, (Fraction(0), Fraction(1)))
+    return AlgebraicScalar(p, lo, hi, _reduce_vec(*_clear_denominators(tuple(map(Fraction, value))), p))
 
 
 def interval(lo, hi, refine_fn=None) -> IntervalScalar:
@@ -158,20 +159,27 @@ def _apply_value_rational(root: Fraction, value) -> RationalScalar:
 # remainder-polynomial arithmetic for AlgebraicScalar
 
 
-def _reduce_vec(vec: tuple[Fraction, ...], poly: IntPoly) -> tuple[Fraction, ...]:
-    """Reduce a rational coefficient vector mod the defining polynomial."""
+def _reduce_vec(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[Fraction, ...]:
+    """The vector nums/den reduced mod the defining polynomial, as Fractions.
+
+    Integer numerators over one denominator (Cohen, A Course in Computational
+    Algebraic Number Theory, 4.2): each elimination step scales the vector by
+    the leading coefficient and folds that scale into the denominator.
+    """
     n = len(poly) - 1
-    v = list(vec)
-    lead = Fraction(poly[-1])
+    lead = poly[-1]
+    v = list(nums)
     while len(v) > n:
-        c = v.pop() / lead
+        c = v.pop()
         if c:
+            v = [lead * x for x in v]
+            den *= lead
             k = len(v) - n
             for i in range(n):
                 v[k + i] -= c * poly[i]
     while v and v[-1] == 0:
         v.pop()
-    return tuple(v) if v else (Fraction(0),)
+    return tuple(Fraction(x, den) for x in v) if v else (Fraction(0),)
 
 
 def _vec_add(a, b):
@@ -183,12 +191,13 @@ def _vec_add(a, b):
 
 
 def _vec_mul(a, b, poly):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _reduce_vec(tuple(out), poly)
+    (x, dx), (y, dy) = _clear_denominators(a), _clear_denominators(b)
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                out[i + j] += xi * yj
+    return _reduce_vec(out, dx * dy, poly)
 
 
 def _vec_is_all_zero(a) -> bool:
@@ -227,10 +236,9 @@ class _Bisection:
             raise RuntimeError("algebraic bisection failed to converge")
         while len(self.brackets) <= depth and self.root is None:
             A, B, D = self.brackets[-1]
-            mid = Fraction(A + B, 2 * D)
-            sm = intpoly.sign_at(self.a.poly, mid)
+            sm = intpoly.sign_at_scaled(self.a.poly, A + B, 2 * D)
             if sm == 0:
-                self.root = mid
+                self.root = Fraction(A + B, 2 * D)
             elif sm == self.sign_lo:
                 self.brackets.append((A + B, 2 * B, 2 * D))
             else:
@@ -274,9 +282,8 @@ def _alg_value_zero(a: AlgebraicScalar, v: IntPoly) -> bool:
 
 def _alg_sign(a: AlgebraicScalar) -> int:
     walk = _Bisection(a)
-    if _alg_value_zero(a, walk.v):
-        return 0
-    # v(alpha) != 0, so the first enclosure that excludes 0 has its sign
+    # an enclosure that excludes 0 has the sign; the exact zero test runs
+    # once, when the base enclosure does not, so that the loop must end
     depth = 0
     while True:
         lo, hi = walk.bounds(depth)
@@ -284,6 +291,8 @@ def _alg_sign(a: AlgebraicScalar) -> int:
             return 1
         if hi < 0:
             return -1
+        if depth == 0 and _alg_value_zero(a, walk.v):
+            return 0
         depth = _next_depth(depth)
 
 
@@ -320,7 +329,7 @@ def _alg_localize(a: AlgebraicScalar, offender: IntPoly) -> AlgebraicScalar:
     if intpoly.sign_at(g, a.lo) * intpoly.sign_at(g, a.hi) < 0:
         raise ZeroDivisionError("scalar inverse of zero value")
     q = intpoly.squarefree_part(intpoly.exact_div(a.poly, g))
-    return AlgebraicScalar(q, a.lo, a.hi, _reduce_vec(a.value, q))
+    return AlgebraicScalar(q, a.lo, a.hi, _reduce_vec(*_clear_denominators(a.value), q))
 
 
 def _poly_egcd_q(a: list[Fraction], b: list[Fraction]):
@@ -383,7 +392,7 @@ def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
         g, s = _poly_egcd_q(v, q)
         if len(g) == 1:
             inv = tuple(c / g[0] for c in s)
-            return AlgebraicScalar(cur.poly, cur.lo, cur.hi, _reduce_vec(inv, cur.poly))
+            return AlgebraicScalar(cur.poly, cur.lo, cur.hi, _reduce_vec(*_clear_denominators(inv), cur.poly))
         cur = _alg_localize(cur, _clear_denominators(tuple(g))[0])
     raise RuntimeError("algebraic inverse failed to localize")
 
@@ -414,8 +423,8 @@ def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
         return None
     g = intpoly.squarefree_part(g)
     return (
-        AlgebraicScalar(g, a.lo, a.hi, _reduce_vec(a.value, g)),
-        AlgebraicScalar(g, b.lo, b.hi, _reduce_vec(b.value, g)),
+        AlgebraicScalar(g, a.lo, a.hi, _reduce_vec(*_clear_denominators(a.value), g)),
+        AlgebraicScalar(g, b.lo, b.hi, _reduce_vec(*_clear_denominators(b.value), g)),
     )
 
 

@@ -58,6 +58,7 @@ class AbortUnresolved(Exception):
     def __init__(self, index: int, width):
         super().__init__(f"sign of partial sum S_{index} unresolved (width {width})")
         self.index = index
+        self.width = width
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,12 @@ def _decide(kind: str, tie: str, s: int) -> int:
 
 def _run(c: CoefficientSequence, kind: str, tie: str, depth: int, overrides=None):
     """Run the recursion to `depth`; returns (choices, sums, signs, zero_decisions)."""
-    if isinstance(c.weight(0), scalars.IntervalScalar):
+    weights = c.weights()
+    w0 = next(weights)
+    if isinstance(w0, scalars.IntervalScalar):
         return _run_interval(c, kind, tie, depth, overrides)
     rho = [1]
-    sums: list[Scalar] = [c.weight(0)]
+    sums: list[Scalar] = [w0]
     sgn: list[int] = []
     zero_decisions: list[int] = []
     for n in range(1, depth + 1):
@@ -195,8 +198,7 @@ def _run(c: CoefficientSequence, kind: str, tie: str, depth: int, overrides=None
             zero_decisions.append(n)
         choice = overrides.get(n) if overrides and n in overrides else _decide(kind, tie, s)
         rho.append(choice)
-        w = c.weight(n)
-        sums.append(scalar_add(sums[-1], scalar_mul(w, choice)))
+        sums.append(scalar_add(sums[-1], scalar_mul(next(weights), choice)))
     res = scalar_sign(sums[-1])
     if not res.resolved:
         raise AbortUnresolved(depth, res.width)
@@ -212,8 +214,9 @@ def _run_interval(c, kind, tie, depth, overrides=None):
     coarse, which is exactly the AbortUnresolved contract.
     """
     width = Fraction(1, 2**DEFAULT_DEPTH_BITS)
+    weights = c.weights()
     rho = [1]
-    lo, hi = scalar_enclosure(c.weight(0), width)
+    lo, hi = scalar_enclosure(next(weights), width)
     bounds = [(lo, hi)]
     sgn: list[int] = []
     zero_decisions: list[int] = []
@@ -232,10 +235,11 @@ def _run_interval(c, kind, tie, depth, overrides=None):
             zero_decisions.append(n)
         choice = overrides.get(n) if overrides and n in overrides else _decide(kind, tie, s)
         rho.append(choice)
+        w = next(weights)
         try:
-            wlo, whi = scalar_enclosure(c.weight(n), width)
+            wlo, whi = scalar_enclosure(w, width)
         except scalars.PrecisionError:
-            wlo, whi = scalars._current_bounds(c.weight(n))
+            wlo, whi = scalars._current_bounds(w)
         if choice < 0:
             wlo, whi = -whi, -wlo
         bounds.append((bounds[-1][0] + wlo, bounds[-1][1] + whi))
@@ -314,10 +318,10 @@ def _certify_geometric(c, rho, sums, sgn, depth):
     abs_eq_1 = s_lo == 0 or s_hi == 0
 
     max_p = (depth + 1) // 3
-    for p in range(1, max_p + 1):
+    # the weights of a geometric sequence are the powers alpha^p
+    for p, alpha_p in zip(range(1, max_p + 1), islice(c.weights(), 1, None)):
         if alpha_neg and p % 2:
             continue
-        alpha_p = scalars.scalar_pow(alpha, p)
         one_minus = scalar_sub(Fraction(1), alpha_p)
         for start in range(0, depth - 3 * p + 2):
             if any(rho[k + p] != rho[k] for k in range(start, depth - p + 1)):
@@ -417,7 +421,8 @@ def check_step_condition(
     upto = rho.determined_upto()
     if upto is not None and upto < depth + 1:
         raise ValueError("sign sequence not determined up to requested depth")
-    s: Scalar = scalar_mul(c.weight(0), rho[0])
+    weights = c.weights()
+    s: Scalar = scalar_mul(next(weights), rho[0])
     for n in range(1, depth + 1):
         res = scalar_sign(s)
         if not res.resolved:
@@ -425,7 +430,7 @@ def check_step_condition(
         test = rho[n] * res.sign
         if (kind == "max" and test > 0) or (kind == "min" and test < 0):
             return StepCheckResult("violated", n)
-        s = scalar_add(s, scalar_mul(c.weight(n), rho[n]))
+        s = scalar_add(s, scalar_mul(next(weights), rho[n]))
     return StepCheckResult("holds")
 
 
@@ -611,8 +616,8 @@ def nonneg_check(c: CoefficientSequence, depth: int = DEFAULT_DEPTH) -> NonnegRe
             return NonnegResult("nonneg_certified")
         return NonnegResult("negative_witness", _negative_witness(c, depth), depth)
     total: Scalar = RationalScalar(Fraction(0))
-    for n in range(depth + 1):
-        total = scalar_add(total, c.weight(n))
+    for n, w in zip(range(depth + 1), c.weights()):
+        total = scalar_add(total, w)
         res = scalar_sign(total)
         if not res.resolved:
             raise AbortUnresolved(n, res.width)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -312,8 +313,50 @@ def test_eval_series_past_orbit_cap(monkeypatch):
     t, width = F(1, 37), F(1, 10**6)
     uncapped = ev.eval_series(c, t, width)
     lo, hi = sc.scalar_enclosure(ev.eval_periodic(c, t), F(1, 2**80))
+    power = ev.PowerSquared()
+    power_width = F(1, 10**3)
+    power_uncapped = ev.eval_series(power, t, power_width)
     monkeypatch.setattr(ev, "ORBIT_CAP", 8)
     capped = ev.eval_series(c, t, width)
     assert capped.hi - capped.lo <= width
     assert capped.lo <= uncapped.hi and uncapped.lo <= capped.hi
     assert capped.lo <= lo and hi <= capped.hi
+    # a sequence with residue-class tails falls back the same way past the cap
+    power_capped = ev.eval_series(power, t, power_width)
+    assert power_capped.hi - power_capped.lo <= power_width
+    assert power_capped.lo <= power_uncapped.hi and power_uncapped.lo <= power_capped.hi
+
+
+def test_weights_agree_with_weight():
+    cases = [
+        geometric(F(1, 2)),
+        geometric(F(-199, 100)),
+        geometric(QUARTIC),
+        geometric(sc.algebraic([-3, 0, 2], 1, 2)),  # non-monic: sqrt(3/2)
+        ev.PowerSquared(),
+        ev.FiniteSupport([F(1, 3), -1, 0, F(5, 7)]),
+    ]
+    for c in cases:
+        assert list(islice(c.weights(), 64)) == [c.weight(m) for m in range(64)], c
+
+
+def test_series_without_residue_tails_skips_the_orbit(monkeypatch):
+    # 2 has order 1,000,002 mod 1,000,003, past ORBIT_CAP; a Geometric
+    # sequence has no residue-class tails, so no orbit is walked at all
+    calls = []
+    orbit = ev._orbit
+
+    def counted(*args):
+        calls.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(ev, "_orbit", counted)
+    c, width = geometric(F(19, 10)), F(1, 2**96)
+    got = ev.eval_series(c, F(1, 1000003), width)
+    assert calls == []
+    assert got.hi - got.lo <= width
+    # within the cap the rounded prefix gives the bounds of the periodic kernel
+    c, t, width = geometric(F(199, 100)), F(1, 37), F(1, 10**6)
+    residues, start = orbit(t)
+    expected = ev._periodic_bounds(c, list(ev._tents(t, residues)), start, width)
+    assert ev._series_bounds(c, t, width) == expected

@@ -330,3 +330,48 @@ def test_deep_sign_query_takes_logarithmically_many_evaluations(monkeypatch):
     assert sc.scalar_sign(v).sign == 1
     assert max(args[3] for args in calls).bit_length() - 1 >= 200  # the depth reached
     assert len(calls) <= 2 * math.log2(200) + 8
+
+
+def _fraction_vec_mul(a, b, poly):
+    """The product and reduction mod poly in Fractions, the reference for the integer kernel."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fraction_reduce(out, poly)
+
+
+def _fraction_reduce(vec, poly):
+    n = len(poly) - 1
+    v = list(vec)
+    while len(v) > n:
+        c = v.pop() / F(poly[-1])
+        if c:
+            k = len(v) - n
+            for i in range(n):
+                v[k + i] -= c * poly[i]
+    while v and v[-1] == 0:
+        v.pop()
+    return tuple(v) if v else (F(0),)
+
+
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+littlewood_polys = st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=11)
+non_monic_polys = st.tuples(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+    st.integers(2, 12),
+    st.sampled_from([-1, 1]),
+).map(lambda t: tuple(t[0]) + (t[1] * t[2],))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(littlewood_polys, non_monic_polys), st.data())
+def test_integer_vec_mul_matches_fraction_product(poly, data):
+    poly = tuple(poly)
+    n = len(poly) - 1
+    vecs = st.lists(small_fractions, min_size=1, max_size=n)
+    a, b = data.draw(vecs), data.draw(vecs)
+    assert sc._vec_mul(tuple(a), tuple(b), poly) == _fraction_vec_mul(a, b, poly)
+    long = data.draw(st.lists(small_fractions, min_size=0, max_size=2 * n + 2))
+    assert sc._reduce_vec(*sc._clear_denominators(tuple(long)), poly) == _fraction_reduce(long, poly)

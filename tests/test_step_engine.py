@@ -221,9 +221,12 @@ def test_unknown_beyond_depth_for_generic_critical():
 
 
 def test_interval_alpha_aborts():
+    # an interval alpha keeps scalar_pow's per-term enclosures, so the abort
+    # index and width stay those of weight(n)
     c = geometric(sc.interval(F(54, 100), F(55, 100)))
-    with pytest.raises(se.AbortUnresolved):
+    with pytest.raises(se.AbortUnresolved) as info:
         se.build_rho(c, "sharp", 24)
+    assert (info.value.index, info.value.width) == (3, F(29811, 1000000))
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +284,16 @@ def test_engine_value_matches_grid_oracle():
         assert report.value_lo - F(1, 2**40) <= best <= report.value_hi + F(1, 2**40)
         if report.smallest.exact is not None:
             assert oracle.f_truncated(vals, n, report.smallest.exact) == best
+
+
+def test_algebraic_recursion_takes_one_product_per_weight(monkeypatch):
+    calls = []
+    vec_mul = sc._vec_mul
+
+    def counted(*args):
+        calls.append(args)
+        return vec_mul(*args)
+
+    monkeypatch.setattr(sc, "_vec_mul", counted)
+    se.classify_extrema(geometric(QUARTIC), "max", 48)
+    assert len(calls) <= 4 * 48
