@@ -3,9 +3,16 @@
 Polynomials are dense coefficient tuples in ascending power order, with no
 trailing zero coefficients; the zero polynomial is the empty tuple.  Everything
 here is exact big-integer arithmetic: evaluation at rationals is done with
-cleared denominators, Sturm chains use sign-corrected pseudo-remainders with
-content stripping to control coefficient growth, and root isolation is plain
-bisection driven by Sturm counts.
+cleared denominators (`sign_at_scaled`, `eval_interval_scaled`), and Sturm
+chains use sign-corrected pseudo-remainders with content stripping to control
+coefficient growth.
+
+Real roots live on integer brackets (A, B, D), the interval (A/D, B/D).  One
+walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
+them (`refine_bracket`) and decides the step property of a root against the
+prefixes of a coefficient tuple (`step_root_at`); `isolate_roots` is its
+Fraction-endpoint form.  The `*_dyadic` names are the denominator-2^k cases
+of the scaled kernels.
 """
 
 from __future__ import annotations
@@ -145,47 +152,17 @@ def eval_interval_scaled(p: IntPoly, anum: int, bnum: int, den: int) -> tuple[in
 
 
 def sign_at_dyadic(p: IntPoly, num: int, kbits: int) -> int:
-    """Sign of p(num / 2^kbits), integer arithmetic only."""
-    if not p:
-        return 0
-    v = p[-1]
-    shift = 0
-    for c in reversed(p[:-1]):
-        shift += kbits
-        v = v * num + (c << shift)
-    return (v > 0) - (v < 0)
+    """Sign of p(num / 2^kbits)."""
+    return sign_at_scaled(p, num, 1 << kbits)
 
 
 def eval_interval_dyadic(p: IntPoly, anum: int, bnum: int, kbits: int) -> tuple[int, int]:
-    """Signs-preserving scaled enclosure of p over [anum, bnum] / 2^kbits.
-
-    Returns (vlo, vhi) scaled by the positive factor 2^(kbits * deg p).
-    """
-    vlo = vhi = 0
-    shift = 0
-    first = True
-    for c in reversed(p):
-        if first:
-            vlo = vhi = c
-            first = False
-            continue
-        cands = (vlo * anum, vlo * bnum, vhi * anum, vhi * bnum)
-        shift += kbits
-        cs = c << shift
-        vlo, vhi = min(cands) + cs, max(cands) + cs
-    return vlo, vhi
+    """Scaled enclosure of p over [anum, bnum] / 2^kbits (see `eval_interval_scaled`)."""
+    return eval_interval_scaled(p, anum, bnum, 1 << kbits)
 
 
 def sign_variations_at_dyadic(chain: list[IntPoly], num: int, kbits: int) -> int:
-    prev = 0
-    var = 0
-    for p in chain:
-        s = sign_at_dyadic(p, num, kbits)
-        if s != 0:
-            if prev != 0 and s != prev:
-                var += 1
-            prev = s
-    return var
+    return sign_variations_scaled(chain, num, 1 << kbits)
 
 
 def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -279,11 +256,26 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     return chain
 
 
-def sign_variations_at(chain: list[IntPoly], x: Fraction) -> int:
+# ---------------------------------------------------------------------------
+# root brackets: (A, B, D) with D > 0 is the interval (A/D, B/D); A == B is
+# the exact root A/D
+
+
+Bracket = tuple[int, int, int]
+
+
+def to_bracket(lo: Fraction, hi: Fraction) -> Bracket:
+    """(lo, hi) over the least common denominator."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
+def sign_variations_scaled(chain: list[IntPoly], num: int, den: int) -> int:
+    """Sign variations of the chain at num / den (den > 0)."""
     prev = 0
     var = 0
     for p in chain:
-        s = sign_at(p, x)
+        s = sign_at_scaled(p, num, den)
         if s != 0:
             if prev != 0 and s != prev:
                 var += 1
@@ -293,29 +285,109 @@ def sign_variations_at(chain: list[IntPoly], x: Fraction) -> int:
 
 def count_roots(chain: list[IntPoly], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]; requires p(lo) != 0."""
-    return sign_variations_at(chain, lo) - sign_variations_at(chain, hi)
+    return sign_variations_scaled(chain, lo.numerator, lo.denominator) - sign_variations_scaled(
+        chain, hi.numerator, hi.denominator
+    )
 
 
-def refine_root(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-changing bracket of p below `width` by bisection.
+def isolate_brackets(
+    p: IntPoly, intervals: Sequence[Bracket]
+) -> tuple[IntPoly, list[Bracket], IntPoly | None]:
+    """(squarefree part, isolating brackets, repeated part) for the roots of p in the intervals.
 
-    Returns a degenerate (m, m) bracket if bisection lands exactly on the root.
+    p must not vanish at an interval's endpoints.  One Sturm chain, of the
+    squarefree part, serves every interval.  Each bracket holds exactly one
+    distinct root, and neither of its endpoints is a root; brackets come in
+    the order of the intervals, left to right within each.  The repeated
+    part is the last member of p's own Sturm chain (its gcd with p', up to a
+    constant) when that has a root, else None.  A bracket is split at its
+    midpoint; a midpoint that is a root moves right by a quarter of the
+    width, then by half of each previous move.
     """
-    slo = sign_at(p, lo)
-    if slo == 0:
-        return lo, lo
-    if sign_at(p, hi) == 0:
-        return hi, hi
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = sign_at(p, mid)
+    chain = sturm_chain(p)
+    repeated = None
+    if degree(chain[-1]) >= 1:
+        repeated = chain[-1]
+        sq = squarefree_part(p)
+        chain = sturm_chain(sq)
+    else:
+        sq = chain[0]
+    brackets: list[Bracket] = []
+
+    def split(A: int, B: int, D: int, va: int, vb: int) -> None:
+        n = va - vb
+        if n == 0:
+            return
+        if n == 1:
+            brackets.append((A, B, D))
+            return
+        m, a, b, d = A + B, 2 * A, 2 * B, 2 * D
+        while sign_at_scaled(sq, m, d) == 0:
+            m, a, b, d = 2 * m + B - A, 2 * a, 2 * b, 2 * d
+        vm = sign_variations_scaled(chain, m, d)
+        split(a, m, d, va, vm)
+        split(m, b, d, vm, vb)
+
+    for A, B, D in intervals:
+        split(A, B, D, sign_variations_scaled(chain, A, D), sign_variations_scaled(chain, B, D))
+    return sq, brackets, repeated
+
+
+def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction) -> Bracket:
+    """Bisect an isolating bracket of p until it is at most `width` wide.
+
+    A midpoint that is the root ends the bisection with the exact bracket
+    (M, M, D).
+    """
+    if width <= 0:
+        raise ValueError("refine_bracket: width must be positive")
+    A, B, D = bracket
+    wnum, wden = width.numerator, width.denominator
+    slo = sign_at_scaled(p, A, D)
+    while (B - A) * wden > wnum * D:
+        m, D = A + B, 2 * D
+        sm = sign_at_scaled(p, m, D)
         if sm == 0:
-            return mid, mid
+            return m, m, D
         if sm == slo:
-            lo = mid
+            A, B = m, 2 * B
         else:
-            hi = mid
-    return lo, hi
+            A, B = 2 * A, m
+    return A, B, D
+
+
+def step_root_at(coeffs: IntPoly, sq: IntPoly, bracket: Bracket) -> bool:
+    """Whether c_{k+1} P_k(x) <= 0 for every proper prefix P_k of `coeffs`.
+
+    x is the root of the squarefree `sq` in `bracket`.  Each prefix sign comes
+    from interval Horner over the bracket, which is refined as the prefixes
+    need and never widened.  Below width 2^-64 a prefix whose enclosure still
+    holds 0 gets the exact zero test: its gcd with `sq` vanishes at x.
+    """
+    A, B, D = bracket
+    for j in range(len(coeffs) - 1):
+        prefix = coeffs[: j + 1]
+        while True:
+            if A == B:
+                s = sign_at_scaled(prefix, A, D)
+                break
+            vlo, vhi = eval_interval_scaled(prefix, A, B, D)
+            if vlo > 0 or vhi < 0:
+                s = 1 if vlo > 0 else -1
+                break
+            # shrink the bracket 2^5-fold; once it is below 2^-64, test for
+            # an exact zero first, and shrink 2^9-fold if there is none
+            shrink = 5
+            if (B - A) << 64 <= D:
+                g = poly_gcd(sq, normalize(prefix))
+                if degree(g) >= 1 and sign_at_scaled(g, A, D) * sign_at_scaled(g, B, D) < 0:
+                    s = 0
+                    break
+                shrink = 9
+            A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << shrink))
+        if coeffs[j + 1] * s > 0:
+            return False
+    return True
 
 
 def isolate_roots(
@@ -330,34 +402,9 @@ def isolate_roots(
     exactly one distinct root of p; a degenerate (m, m) entry marks an exact
     rational root.  With `width`, brackets are refined below that width.
     """
-    q = squarefree_part(p)
-    if sign_at(q, lo) == 0 or sign_at(q, hi) == 0:
+    if sign_at(p, lo) == 0 or sign_at(p, hi) == 0:
         raise ValueError("isolate_roots: endpoint is a root")
-    chain = sturm_chain(q)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def nonroot_split_point(a: Fraction, b: Fraction) -> Fraction:
-        m = (a + b) / 2
-        d = (b - a) / 4
-        while sign_at(q, m) == 0:
-            m += d
-            d /= 2
-        return m
-
-    def split(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        n = va - vb
-        if n == 0:
-            return
-        if n == 1:
-            out.append((a, b))
-            return
-        m = nonroot_split_point(a, b)
-        vm = sign_variations_at(chain, m)
-        split(a, m, va, vm)
-        split(m, b, vm, vb)
-
-    split(lo, hi, sign_variations_at(chain, lo), sign_variations_at(chain, hi))
-    out.sort(key=lambda iv: iv[0])
+    sq, brackets, _repeated = isolate_brackets(p, [to_bracket(lo, hi)])
     if width is not None:
-        out = [iv if iv[0] == iv[1] else refine_root(q, iv[0], iv[1], width) for iv in out]
-    return out
+        brackets = [refine_bracket(sq, b, width) for b in brackets]
+    return [(Fraction(A, D), Fraction(B, D)) for A, B, D in brackets]

@@ -114,6 +114,12 @@ def _sign_or_raise(x, what: str) -> int:
     return s.sign
 
 
+def _q_sign(alpha: Scalar, k: int) -> int:
+    """Sign of q_{2k}(alpha) = 1 - 2 alpha + alpha^(2k+1), the power taken by squaring."""
+    q = scalar_add(scalar_sub(Fraction(1), scalar_mul(alpha, 2)), scalar_pow(alpha, 2 * k + 1))
+    return _sign_or_raise(q, "q_%d(alpha)" % (2 * k))
+
+
 def classify_alpha(alpha) -> AlphaRegime:
     """Locate alpha among the four regimes; neg_steep boundaries are exact."""
     alpha = scalars._as_scalar(alpha)
@@ -124,22 +130,22 @@ def classify_alpha(alpha) -> AlphaRegime:
     s1 = _sign_or_raise(scalar_add(alpha, 1), "alpha + 1")
     if s1 < 0:
         # find the largest n with x_n <= alpha, via signs of q_{2n}(alpha):
-        # q is increasing on (-2, -1), so alpha >= x_n iff q_{2n}(alpha) >= 0
-        n = 0
-        boundary = False
-        k = 1
-        while True:
-            s = _sign_or_raise(
-                eval_int_poly(q_poly(k), alpha), "q_%d(alpha)" % (2 * k)
-            )
-            if s < 0:
-                break
-            n = k
-            boundary = s == 0
-            if boundary:
-                break
-            k += 1
-        return AlphaRegime(NEG_STEEP, n, boundary)
+        # q is increasing on (-2, -1), so alpha >= x_n iff q_{2n}(alpha) >= 0;
+        # and q_{2k}(alpha) strictly decreases in k, so gallop to a k with
+        # sign s <= 0, then binary-search while q_{2n} > 0 (n = 0: x_0 = -2)
+        n, k = 0, 1
+        while (s := _q_sign(alpha, k)) > 0:
+            n, k = k, 2 * k
+        while s < 0 and k - n > 1:
+            mid = (n + k) // 2
+            s_mid = _q_sign(alpha, mid)
+            if s_mid > 0:
+                n = mid
+            else:
+                k, s = mid, s_mid
+        if s == 0:
+            return AlphaRegime(NEG_STEEP, k, True)
+        return AlphaRegime(NEG_STEEP, n)
     if _sign_or_raise(scalar_sub(alpha, Fraction(1, 2)), "alpha - 1/2") <= 0:
         return AlphaRegime(MIDDLE)
     if _sign_or_raise(scalar_sub(alpha, 1), "alpha - 1") <= 0:

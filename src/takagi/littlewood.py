@@ -5,9 +5,11 @@ A Littlewood polynomial has all coefficients +-1; its real roots lie in
 *step root* when rho_{k+1} P_k(a) <= 0 for every prefix P_k; step roots are
 exactly the parameters where the associated fractal function has non-unique
 maximizers.  The scanner enumerates all sign patterns with rho_0 = +1 up to a
-degree bound, isolates every distinct real root by Sturm bisection, decides
-the step property with exact arithmetic, and aggregates deterministic counts
-and histograms (the same totals independent of worker count).
+degree bound and aggregates deterministic counts and histograms (the same
+totals independent of worker count).  Root isolation, refinement and the step
+test are the integer bracket walker of `intpoly` (`isolate_brackets`,
+`refine_bracket`, `step_root_at`); `real_roots` and `is_step_root` use the
+same walker, so the scan and the public API decide every root the same way.
 """
 
 from __future__ import annotations
@@ -19,18 +21,13 @@ from fractions import Fraction
 from . import intpoly
 from .evaluate import BudgetError
 from .intpoly import IntPoly
-from .scalars import (
-    RationalScalar,
-    Scalar,
-    algebraic,
-    eval_int_poly,
-    scalar_sign,
-)
+from .scalars import AlgebraicScalar, RationalScalar, Scalar, algebraic
 
 NEG_LO, NEG_HI = Fraction(-2), Fraction(-1, 2)
 POS_LO, POS_HI = Fraction(1, 2), Fraction(2)
 ROOT_WIDTH = Fraction(1, 2**40)
-_BIN_WIDTH_BITS = 12  # isolation width for binning/dedup inside the scan
+_BIN_WIDTH = Fraction(1, 2**12)  # isolation width for binning inside the scan
+_ANNULUS = ((-4, -1, 2), (1, 4, 2))  # (-2, -1/2) and (1/2, 2) as brackets
 MAX_SCAN_DEGREE = 24
 
 
@@ -163,13 +160,14 @@ def _empty_summary(max_degree: int, bins: int) -> ScanSummary:
 
 def real_roots(p: LittlewoodPoly, width: Fraction = ROOT_WIDTH) -> list[Scalar]:
     """All distinct real roots, isolated to `width` inside the root annulus."""
+    sq, brackets, _repeated = intpoly.isolate_brackets(p.coeffs, _ANNULUS)
     out: list[Scalar] = []
-    for lo, hi in ((NEG_LO, NEG_HI), (POS_LO, POS_HI)):
-        for a, b in intpoly.isolate_roots(p.coeffs, lo, hi, width):
-            if a == b:
-                out.append(RationalScalar(a))
-            else:
-                out.append(algebraic(p.coeffs, a, b))
+    for bracket in brackets:
+        A, B, D = intpoly.refine_bracket(sq, bracket, width)
+        if A == B:
+            out.append(RationalScalar(Fraction(A, D)))
+        else:
+            out.append(algebraic(p.coeffs, Fraction(A, D), Fraction(B, D)))
     return out
 
 
@@ -179,58 +177,32 @@ def rational_root_filter(p: LittlewoodPoly) -> list[int]:
 
 
 def is_step_root(p: LittlewoodPoly, root: Scalar) -> bool:
-    """Exact check of rho_{k+1} P_k(root) <= 0 for all proper prefixes."""
-    if scalar_sign(eval_int_poly(p.coeffs, root)).sign != 0:
+    """Exact check of rho_{k+1} P_k(root) <= 0 for all proper prefixes.
+
+    `root` is a rational or a plain base root (``algebraic(...)``, as
+    `real_roots` gives); its bracket goes to the step test the scan uses.
+    """
+    if isinstance(root, RationalScalar):
+        x = root.value
+        sq, bracket = p.coeffs, (x.numerator, x.numerator, x.denominator)
+        on_root = intpoly.sign_at(p.coeffs, x) == 0
+    elif isinstance(root, AlgebraicScalar) and root.value == (Fraction(0), Fraction(1)):
+        sq, bracket = root.poly, intpoly.to_bracket(root.lo, root.hi)
+        # root.poly is squarefree and isolates one root in (lo, hi), so the
+        # gcd has at most that root there: a sign change decides
+        g = intpoly.poly_gcd(root.poly, p.coeffs)
+        on_root = intpoly.degree(g) >= 1 and (
+            intpoly.sign_at(g, root.lo) * intpoly.sign_at(g, root.hi) < 0
+        )
+    else:
+        raise ValueError("is_step_root expects a rational or a plain base root")
+    if not on_root:
         raise ValueError("given scalar is not a root of the polynomial")
-    for k in range(p.degree):
-        s = scalar_sign(eval_int_poly(p.coeffs[: k + 1], root)).sign
-        if p.coeffs[k + 1] * s > 0:
-            return False
-    return True
+    return intpoly.step_root_at(p.coeffs, sq, bracket)
 
 
 # ---------------------------------------------------------------------------
-# fast integer-only scan internals
-
-
-def _isolate_fast(coeffs: IntPoly):
-    """(squarefree part, isolating brackets, repeated part) for annulus roots.
-
-    Brackets are integer-scaled dyadics (anum, bnum, kbits) meaning the open
-    interval (anum, bnum) / 2^kbits, with a sign change of the squarefree part
-    across it.  The repeated part (gcd with the derivative, or None) carries
-    the multiplicity excess.
-    """
-    chain = intpoly.sturm_chain(coeffs)
-    repeated = None
-    if intpoly.degree(chain[-1]) >= 1:
-        repeated = chain[-1]
-        sq = intpoly.squarefree_part(coeffs)
-        chain = intpoly.sturm_chain(sq)
-    else:
-        sq = chain[0]
-    brackets: list[tuple[int, int, int]] = []
-
-    def split(a: int, b: int, k: int, va: int, vb: int) -> None:
-        n = va - vb
-        if n == 0:
-            return
-        if n == 1:
-            brackets.append((a, b, k))
-            return
-        m, a2, b2, k2 = a + b, 2 * a, 2 * b, k + 1
-        while intpoly.sign_at_dyadic(sq, m, k2) == 0:
-            # midpoint is a rational root; nudge right on a finer grid
-            m, a2, b2, k2 = 2 * m + 1, 2 * a2, 2 * b2, k2 + 1
-        vm = intpoly.sign_variations_at_dyadic(chain, m, k2)
-        split(a2, m, k2, va, vm)
-        split(m, b2, k2, vm, vb)
-
-    for a, b in ((-4, -1), (1, 4)):  # (-2,-1/2) and (1/2,2) at kbits=1
-        va = intpoly.sign_variations_at_dyadic(chain, a, 1)
-        vb = intpoly.sign_variations_at_dyadic(chain, b, 1)
-        split(a, b, 1, va, vb)
-    return sq, brackets, repeated
+# scan internals
 
 
 def _annulus_counts_recursive(p: IntPoly) -> tuple[int, int]:
@@ -242,63 +214,11 @@ def _annulus_counts_recursive(p: IntPoly) -> tuple[int, int]:
     neg = pos = 0
     while True:
         chain = intpoly.sturm_chain(p)
-        neg += intpoly.sign_variations_at_dyadic(chain, -4, 1) - intpoly.sign_variations_at_dyadic(
-            chain, -1, 1
-        )
-        pos += intpoly.sign_variations_at_dyadic(chain, 1, 1) - intpoly.sign_variations_at_dyadic(
-            chain, 4, 1
-        )
+        neg += intpoly.count_roots(chain, NEG_LO, NEG_HI)
+        pos += intpoly.count_roots(chain, POS_LO, POS_HI)
         if intpoly.degree(chain[-1]) < 1:
             return neg, pos
         p = chain[-1]
-
-
-def _refine_fast(sq: IntPoly, a: int, b: int, k: int, width_bits: int):
-    """Bisect the bracket until its width is at most 2^-width_bits."""
-    slo = intpoly.sign_at_dyadic(sq, a, k)
-    while ((b - a) << width_bits) > (1 << k):
-        m, k = a + b, k + 1
-        a, b = 2 * a, 2 * b
-        sm = intpoly.sign_at_dyadic(sq, m, k)
-        if sm == 0:
-            return m, m, k
-        if sm == slo:
-            a = m
-        else:
-            b = m
-    return a, b, k
-
-
-def _step_root_fast(coeffs: IntPoly, sq: IntPoly, a: int, b: int, k: int) -> bool:
-    """Step-root test for the root of sq inside (a, b)/2^k; exact."""
-    n = len(coeffs) - 1
-    if coeffs[1] > 0:
-        return False  # rho_1 * P_0 = rho_1 must be <= 0
-    for j in range(1, n):
-        prefix = coeffs[: j + 1]
-        s = None
-        while s is None:
-            if a == b:
-                s = intpoly.sign_at_dyadic(prefix, a, k)
-                break
-            vlo, vhi = intpoly.eval_interval_dyadic(prefix, a, b, k)
-            if vlo > 0:
-                s = 1
-            elif vhi < 0:
-                s = -1
-            elif (b - a) << 64 > (1 << k):
-                a, b, k = _refine_fast(sq, a, b, k, k - (b - a).bit_length() + 5)
-            else:
-                g = intpoly.poly_gcd(sq, intpoly.normalize(prefix))
-                if intpoly.degree(g) >= 1 and (
-                    intpoly.sign_at_dyadic(g, a, k) * intpoly.sign_at_dyadic(g, b, k) < 0
-                ):
-                    s = 0
-                else:
-                    a, b, k = _refine_fast(sq, a, b, k, k - (b - a).bit_length() + 9)
-        if coeffs[j + 1] * s > 0:
-            return False
-    return True
 
 
 def _scan_chunk(args) -> ScanSummary:
@@ -308,7 +228,7 @@ def _scan_chunk(args) -> ScanSummary:
     pos_w = (POS_HI - POS_LO) / bins
     for mask in range(mask_lo, mask_hi):
         coeffs = (1,) + tuple(-1 if (mask >> j) & 1 else 1 for j in range(degree))
-        sq, brackets, repeated = _isolate_fast(coeffs)
+        sq, brackets, repeated = intpoly.isolate_brackets(coeffs, _ANNULUS)
         if repeated is not None:
             xneg, xpos = _annulus_counts_recursive(repeated)
             out.neg_roots_with_multiplicity += xneg
@@ -316,12 +236,13 @@ def _scan_chunk(args) -> ScanSummary:
         if not brackets:
             continue
         dcount = out.per_degree.setdefault(degree, [0, 0])
-        for a, b, k in brackets:
-            a, b, k = _refine_fast(sq, a, b, k, _BIN_WIDTH_BITS)
-            mid = Fraction(a + b, 2 ** (k + 1))
+        for bracket in brackets:
+            bracket = intpoly.refine_bracket(sq, bracket, _BIN_WIDTH)
+            A, B, D = bracket
+            mid = Fraction(A + B, 2 * D)
             out.total_roots += 1
             dcount[0] += 1
-            step = _step_root_fast(coeffs, sq, a, b, k)
+            step = intpoly.step_root_at(coeffs, sq, bracket)
             if step:
                 out.total_step_roots += 1
                 dcount[1] += 1
@@ -352,20 +273,21 @@ def scan(
     jobs: int = 1,
     bins: int = 200,
     collect_roots: bool = False,
-    min_degree: int = 1,
 ) -> ScanSummary:
     """Count (step) roots of every Littlewood polynomial with rho_0 = +1.
 
-    Enumerates all 2^n sign patterns per degree n in [min_degree, max_degree];
-    each distinct real root of each polynomial counts once.  Work is split
-    into contiguous mask ranges; merging is a plain sum, so totals do not
-    depend on `jobs`.
+    Enumerates all 2^n sign patterns per degree n in [1, max_degree]; each
+    distinct real root of each polynomial counts once.  Work is split into
+    contiguous mask ranges; merging is a plain sum, so totals do not depend
+    on `jobs`.
     """
     if not (1 <= max_degree <= MAX_SCAN_DEGREE):
         raise BudgetError("max_degree must lie in 1..%d" % MAX_SCAN_DEGREE)
+    if bins < 1:
+        raise ValueError("bins must be at least 1")
     jobs = max(1, jobs)
     tasks = []
-    for degree in range(min_degree, max_degree + 1):
+    for degree in range(1, max_degree + 1):
         total = 1 << degree
         chunk = max(256, total // (jobs * 8)) if jobs > 1 else total
         for lo in range(0, total, chunk):

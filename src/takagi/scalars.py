@@ -220,9 +220,8 @@ class _Bisection:
     """
 
     def __init__(self, a: AlgebraicScalar):
-        den = math.lcm(a.lo.denominator, a.hi.denominator)
         self.a = a
-        self.brackets = [(int(a.lo * den), int(a.hi * den), den)]
+        self.brackets = [intpoly.to_bracket(a.lo, a.hi)]
         self.sign_lo = intpoly.sign_at(a.poly, a.lo)
         self.root: Fraction | None = None
         # v = V/L, evaluated by the integer kernel: scaling by the positive
@@ -462,12 +461,10 @@ def _enclose(a: Scalar, width: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _width_bits(width: Fraction) -> int:
-    b = 0
-    w = Fraction(1)
-    while w > width and b < 100_000:
-        w /= 2
-        b += 1
-    return b
+    """The least b >= 0 with 2^-b <= width, at most 100,000."""
+    if width <= 0:
+        return 100_000
+    return min(100_000, (-(-width.denominator // width.numerator) - 1).bit_length())
 
 
 def scalar_add(a, b) -> Scalar:
@@ -646,13 +643,10 @@ def refine(a, width) -> Scalar:
     if isinstance(a, RationalScalar):
         return a
     if isinstance(a, AlgebraicScalar):
-        # the first bracket of width <= width, or the root if a midpoint hits it
-        walk, depth = _Bisection(a), 0
-        while (bracket := walk.at(depth)) is not None and bracket[1] - bracket[0] > width * bracket[2]:
-            depth += 1
-        if bracket is None:
-            return _apply_value_rational(walk.root, a.value)
-        A, B, D = bracket
+        # the first bisection bracket of width <= width, or the root if a midpoint hits it
+        A, B, D = intpoly.refine_bracket(a.poly, intpoly.to_bracket(a.lo, a.hi), width)
+        if A == B:
+            return _apply_value_rational(Fraction(A, D), a.value)
         return AlgebraicScalar(a.poly, Fraction(A, D), Fraction(B, D), a.value)
     lo, hi = _enclose(a, width)
     return IntervalScalar(lo, hi, a.refine_fn)

@@ -115,6 +115,15 @@ def test_littlewood_scan_json(capsys):
     assert d["total_roots"] == 88 and d["max_degree"] == 5
 
 
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_nonpositive_bins_is_a_usage_error(tmp_path, capsys, bins):
+    for argv in (("littlewood", "scan"), ("figure", "4", "--out-dir", str(tmp_path))):
+        code, _, err = run(capsys, *argv, "--max-degree", "3", "--bins", bins)
+        assert code == cli.EXIT_USAGE and "bins must be at least 1" in err, argv
+    assert not (tmp_path / "fig4_histograms.csv").exists()
+
+
 def test_littlewood_steproots(capsys):
     code, out, _ = run(capsys, "littlewood", "steproots", "--max-degree", "4")
     assert code == 0

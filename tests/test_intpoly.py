@@ -130,3 +130,68 @@ def test_isolate_exact_rational_root():
 def test_isolate_rejects_root_endpoint():
     with pytest.raises(ValueError):
         ip.isolate_roots((1, 0, -1), F(-1), F(2), F(1, 4))
+
+
+def _fraction_isolate(p, lo, hi, width=None):
+    """Root isolation in Fractions: the independent reference for the integer walker."""
+    q = ip.squarefree_part(p)
+    chain = ip.sturm_chain(q)
+
+    def variations(x):
+        signs = [s for s in (ip.sign_at(f, x) for f in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    out = []
+
+    def split(a, b, va, vb):
+        if va - vb == 1:
+            out.append((a, b))
+        elif va > vb:
+            m, d = (a + b) / 2, (b - a) / 4
+            while ip.sign_at(q, m) == 0:
+                m, d = m + d, d / 2
+            vm = variations(m)
+            split(a, m, va, vm)
+            split(m, b, vm, vb)
+
+    split(lo, hi, variations(lo), variations(hi))
+    if width is None:
+        return out
+    refined = []
+    for a, b in out:
+        slo = ip.sign_at(q, a)
+        while b - a > width:
+            m = (a + b) / 2
+            sm = ip.sign_at(q, m)
+            if sm == 0:
+                a = b = m
+                break
+            a, b = (m, b) if sm == slo else (a, m)
+        refined.append((a, b))
+    return refined
+
+
+def test_isolate_roots_matches_fraction_bisection():
+    # midpoint roots (the first midpoint -1 of (-7/2, 3/2) is a root of
+    # -2x - 2x^2; on (-2, 2) the midpoint 0 of x^3 - x and its first move, 1,
+    # are both roots) and non-dyadic endpoints and widths, bracket for bracket
+    cases = [
+        ((0, -2, -2), F(-7, 2), F(3, 2)),
+        ((0, -1, 0, 1), F(-2), F(2)),
+        ((-1, 0, 1), F(-3), F(3)),
+        ((6, -5, 1), F(-1, 3), F(17, 3)),
+    ]
+    rng = random.Random(5)
+    while len(cases) < 300:
+        p = ip.normalize([rng.randint(-6, 6) for _ in range(rng.randint(2, 8))])
+        lo = F(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 6, 7, 12, 16)))
+        hi = lo + F(rng.randint(1, 40), rng.choice((1, 3, 4, 7, 10)))
+        if ip.degree(p) >= 1 and ip.sign_at(p, lo) and ip.sign_at(p, hi):
+            cases.append((p, lo, hi))
+    nudged = 0
+    for p, lo, hi in cases:
+        for width in (None, F(1, 2**10), F(1, 3**7)):
+            assert ip.isolate_roots(p, lo, hi, width) == _fraction_isolate(p, lo, hi, width), (p, lo, hi, width)
+        nudged += ip.sign_at(p, (lo + hi) / 2) == 0
+    assert nudged >= 2
+    assert ip.isolate_roots((0, -2, -2), F(-7, 2), F(3, 2)) == [(F(-13, 8), F(-11, 16)), (F(-11, 16), F(1, 4))]

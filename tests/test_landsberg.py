@@ -1,5 +1,6 @@
 """Regime classification, closed forms, root solvers, and the C(alpha) curve."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,51 @@ def test_classify_alpha_unresolved_interval():
     close = sc.interval(F(-13, 10), F(-129, 100))  # straddles x_2
     with pytest.raises(sc.PrecisionError):
         lb.classify_alpha(close)
+
+
+
+def _linear_classify_n(alpha):
+    """(n, boundary) by trying k = 1, 2, ... in turn: the reference for the search."""
+    n, k = 0, 1
+    while True:
+        s = sc.scalar_sign(sc.eval_int_poly(lb.q_poly(k), alpha)).sign
+        if s < 0:
+            return n, False
+        if s == 0:
+            return k, True
+        n, k = k, k + 1
+
+
+def test_classify_alpha_below_minus_one_matches_linear_search():
+    for alpha in (F(-1001, 1000), F(-3, 2), F(-199, 100), F(-11, 10), F(-201, 200)):
+        regime = lb.classify_alpha(alpha)
+        assert (regime.n, regime.boundary) == _linear_classify_n(alpha), alpha
+
+
+def test_classify_alpha_near_minus_one_takes_logarithmically_many_q_signs(monkeypatch):
+    alpha = F(-100025, 100000)
+    calls = []
+    q_sign = lb._q_sign
+
+    def counted(a, k):
+        calls.append(k)
+        return q_sign(a, k)
+
+    monkeypatch.setattr(lb, "_q_sign", counted)
+    regime = lb.classify_alpha(alpha)
+    n = regime.n
+    assert regime.variant == lb.NEG_STEEP and not regime.boundary
+
+    def q(k):
+        return 1 - 2 * alpha + alpha ** (2 * k + 1)
+
+    assert q(n) >= 0 > q(n + 1)
+    assert n > 1000 and len(calls) <= 2 * math.log2(n) + 2
+
+
+def test_classify_alpha_boundary_at_every_small_xn():
+    for n in range(1, 7):
+        assert lb.classify_alpha(lb.solve_xn(n).root) == lb.AlphaRegime(lb.NEG_STEEP, n, boundary=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from takagi import littlewood as lw
 from takagi import scalars as sc
 from takagi import step_engine as se
 from takagi import evaluate as ev
+from takagi import intpoly as ip
 
 
 def test_poly_type_validation():
@@ -81,11 +82,11 @@ def test_no_rational_roots_besides_units():
     while seen < 10_000:
         deg = rng.randint(1, 12)
         coeffs = (1,) + tuple(rng.choice((-1, 1)) for _ in range(deg))
-        sq, brackets, _rep = lw._isolate_fast(coeffs)
-        for a, b, k in brackets:
-            a, b, k = lw._refine_fast(sq, a, b, k, 40)
+        sq, brackets, _rep = ip.isolate_brackets(coeffs, lw._ANNULUS)
+        for bracket in brackets:
+            a, b, d = ip.refine_bracket(sq, bracket, F(1, 2**40))
             if a == b:  # exact rational root certified
-                assert F(a, 2**k) in (-1, 1), (coeffs, a, k)
+                assert F(a, d) in (-1, 1), (coeffs, a, d)
         assert all(
             r in (-1, 1) for r in lw.rational_root_filter(lw.LittlewoodPoly(coeffs))
         )
@@ -112,18 +113,61 @@ def test_is_step_root_examples():
         lw.is_step_root(one_plus, sc.rational(F(1, 2)))
 
 
+def _scalar_step_reference(p, root):
+    """The step test as a Scalar prefix loop: rho_{k+1} * sign(P_k(root)) <= 0 for every k."""
+    for k in range(p.degree):
+        s = sc.scalar_sign(sc.eval_int_poly(p.coeffs[: k + 1], root)).sign
+        if p.coeffs[k + 1] * s > 0:
+            return False
+    return True
+
+
+def _non_dyadic_brackets(p, root):
+    """The same root on base brackets widened by 1/3^k, where they still isolate it."""
+    lo, hi = root.lo, root.hi
+    out = []
+    for k in (30, 6, 3):
+        try:
+            out.append(sc.algebraic(p.coeffs, lo - F(1, 3**k), hi + F(2, 3**k)))
+        except ValueError:
+            pass
+    return out
+
+
 def test_fast_step_matches_public_api():
+    # the scan's path (walker brackets at bin width) and `is_step_root` on
+    # every root form against an independent Scalar prefix loop
     rng = random.Random(123)
+    non_dyadic = 0
     for _ in range(120):
         deg = rng.randint(1, 9)
         p = lw.LittlewoodPoly.from_mask(deg, rng.randrange(1 << deg))
-        sq, brackets, _repeated = lw._isolate_fast(p.coeffs)
-        fast = []
-        for a, b, k in brackets:
-            a2, b2, k2 = lw._refine_fast(sq, a, b, k, lw._BIN_WIDTH_BITS)
-            fast.append(lw._step_root_fast(p.coeffs, sq, a2, b2, k2))
-        slow = [lw.is_step_root(p, r) for r in lw.real_roots(p)]
-        assert fast == slow, p
+        sq, brackets, _repeated = ip.isolate_brackets(p.coeffs, lw._ANNULUS)
+        scan = [ip.step_root_at(p.coeffs, sq, ip.refine_bracket(sq, b, lw._BIN_WIDTH)) for b in brackets]
+        roots = lw.real_roots(p)
+        reference = [_scalar_step_reference(p, r) for r in roots]
+        assert scan == reference == [lw.is_step_root(p, r) for r in roots], p
+        for r, expected in zip(roots, reference):
+            if isinstance(r, sc.AlgebraicScalar):
+                for other in _non_dyadic_brackets(p, r):
+                    assert other.hi.denominator % 3 == 0
+                    assert lw.is_step_root(p, other) == expected, (p, other)
+                    non_dyadic += 1
+        for x in lw.rational_root_filter(p):
+            one = sc.rational(x)
+            assert lw.is_step_root(p, one) == _scalar_step_reference(p, one), (p, x)
+    assert non_dyadic > 100
+
+
+def test_is_step_root_rejects_non_roots_and_other_forms():
+    p = lw.LittlewoodPoly((1, -1, -1))
+    with pytest.raises(ValueError):
+        lw.is_step_root(p, sc.algebraic([-2, 0, 1], 1, 2))  # sqrt2 is not a root
+    (pos,) = [r for r in lw.real_roots(p) if sc.scalar_sign(r).sign > 0]
+    with pytest.raises(ValueError):
+        lw.is_step_root(p, sc.scalar_mul(pos, 2))  # a value over the root, not the base root
+    with pytest.raises(ValueError):
+        lw.is_step_root(p, sc.interval(F(61, 100), F(62, 100)))
 
 
 def test_scan_degree_one_and_two():
