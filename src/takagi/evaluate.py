@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from . import scalars
+from . import intpoly, scalars
 from .scalars import (
     IntervalScalar,
     RationalScalar,
@@ -212,12 +212,6 @@ class Geometric(CoefficientSequence):
     def weight(self, m: int) -> Scalar:
         return scalar_pow(self.alpha, m)
 
-    def weights(self) -> Iterator[Scalar]:
-        # a running product would change an interval alpha's enclosures
-        if isinstance(self.alpha, IntervalScalar):
-            return super().weights()
-        return _powers(self.alpha)
-
     def tail_bound(self, n: int) -> Fraction:
         # whatever enclosure of the ratio is reachable, refined toward 2^-16
         # where it can be: a wide interval alpha still bounds the tail
@@ -380,17 +374,41 @@ def _exact_sum(factors: Iterable[Fraction], coefficients: Iterator[Scalar]) -> S
     return total
 
 
+def _rational_ratio(c: CoefficientSequence) -> Fraction | None:
+    """alpha/2 for a Geometric sequence with a rational alpha, else None."""
+    if isinstance(c, Geometric) and isinstance(c.alpha, RationalScalar):
+        return c.alpha.value / 2
+    return None
+
+
+def _tent_numerators(t: Fraction, residues: Iterable[int]) -> list[int]:
+    """den * tent(2^m t) for the residues r_m of t = num/den."""
+    den = t.denominator
+    return [min(r, den - r) for r in residues]
+
+
 def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
-    """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t."""
+    """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t.
+
+    For a rational Geometric sequence this is T(alpha/2)/den for the integer
+    polynomial T of the tent numerators, one Horner pass.
+    """
     t = _check_unit_interval(t)
-    return _exact_sum(_tents(t, islice(_residues(t), n + 1)), c.coefficients())
+    residues = islice(_residues(t), n + 1)
+    x = _rational_ratio(c)
+    if x is not None:
+        return RationalScalar(intpoly.eval_fraction(_tent_numerators(t, residues), x) / t.denominator)
+    return _exact_sum(_tents(t, residues), c.coefficients())
 
 
 def eval_periodic(c: Geometric, t) -> Scalar:
     """Exact closed-form value of a Takagi-Landsberg function at rational t.
 
     Splits the doubling orbit of t into preperiod and period and sums the
-    periodic part as a geometric series in (alpha/2)^p.
+    periodic part as a geometric series in (alpha/2)^p.  For a rational
+    alpha, with x = alpha/2 and the tent numerators T_m over den, the value
+    is Q(x)/(den (1 - x^p)) for the one integer polynomial
+    Q = T - x^p T_{<s}: a Horner pass instead of a Fraction sum per term.
     """
     t = _check_unit_interval(t)
     if not isinstance(c, Geometric):
@@ -398,6 +416,14 @@ def eval_periodic(c: Geometric, t) -> Scalar:
     residues, s = _orbit(t, ORBIT_CAP)
     if s is None:
         return eval_series(c, t, Fraction(1, 2**96))
+    x = _rational_ratio(c)
+    if x is not None:
+        tents = _tent_numerators(t, residues)
+        p = len(tents) - s
+        q = tents[:]
+        for m in range(s):
+            q[m + p] -= tents[m]
+        return RationalScalar(intpoly.eval_fraction(q, x) / (t.denominator * (1 - x**p)))
     phis = list(_tents(t, residues))
     total = _exact_sum(phis[:s], c.coefficients())
     block = _exact_sum(phis[s:], c.coefficients())

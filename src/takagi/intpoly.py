@@ -11,8 +11,10 @@ Real roots live on integer brackets (A, B, D), the interval (A/D, B/D).  One
 walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
 them (`refine_bracket`) and decides the step property of a root against the
 prefixes of a coefficient tuple (`step_root_at`); `isolate_roots` is its
-Fraction-endpoint form.  The `*_dyadic` names are the denominator-2^k cases
-of the scaled kernels.
+Fraction-endpoint form.  The sign of any integer polynomial at such a root
+comes from one kernel, `root_sign`, which the step test and the step
+engine's recursion both call.  The `*_dyadic` names are the denominator-2^k
+cases of the scaled kernels.
 """
 
 from __future__ import annotations
@@ -356,37 +358,52 @@ def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction) -> Bracket:
     return A, B, D
 
 
+def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[int, Bracket]:
+    """Sign of p(x) for the root x of the squarefree `sq` in `bracket`, and a bracket of x.
+
+    The sign comes from interval Horner over the bracket, which is refined as
+    p needs and never widened; the bracket returned is the one that decided,
+    so a caller that keeps it for its next query never refines twice.  Below
+    width 2^-64 an enclosure that still holds 0 gets the exact zero test once:
+    the gcd of p and `sq` vanishes at x.
+    """
+    p = normalize(p)
+    if not p:
+        return 0, bracket
+    A, B, D = bracket
+    tested = False
+    while True:
+        if A == B:
+            return sign_at_scaled(p, A, D), (A, B, D)
+        vlo, vhi = eval_interval_scaled(p, A, B, D)
+        if vlo > 0 or vhi < 0:
+            return (1 if vlo > 0 else -1), (A, B, D)
+        # shrink the bracket 2^5-fold; once it is below 2^-64, test for an
+        # exact zero first, and shrink 2^9-fold if there is none
+        shrink = 5
+        if (B - A) << 64 <= D:
+            if not tested:
+                g = poly_gcd(sq, p)
+                if degree(g) >= 1 and sign_at_scaled(g, A, D) * sign_at_scaled(g, B, D) < 0:
+                    return 0, (A, B, D)
+                tested = True
+            shrink = 9
+        A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << shrink))
+
+
 def step_root_at(coeffs: IntPoly, sq: IntPoly, bracket: Bracket) -> bool:
     """Whether c_{k+1} P_k(x) <= 0 for every proper prefix P_k of `coeffs`.
 
-    x is the root of the squarefree `sq` in `bracket`.  Each prefix sign comes
-    from interval Horner over the bracket, which is refined as the prefixes
-    need and never widened.  Below width 2^-64 a prefix whose enclosure still
-    holds 0 gets the exact zero test: its gcd with `sq` vanishes at x.
+    x is the root of the squarefree `sq` in `bracket`.  The constant prefix
+    P_0 has the sign of c_0; every longer one is decided by `root_sign` on one
+    bracket that only narrows.
     """
-    A, B, D = bracket
-    for j in range(len(coeffs) - 1):
-        prefix = coeffs[: j + 1]
-        while True:
-            if A == B:
-                s = sign_at_scaled(prefix, A, D)
-                break
-            vlo, vhi = eval_interval_scaled(prefix, A, B, D)
-            if vlo > 0 or vhi < 0:
-                s = 1 if vlo > 0 else -1
-                break
-            # shrink the bracket 2^5-fold; once it is below 2^-64, test for
-            # an exact zero first, and shrink 2^9-fold if there is none
-            shrink = 5
-            if (B - A) << 64 <= D:
-                g = poly_gcd(sq, normalize(prefix))
-                if degree(g) >= 1 and sign_at_scaled(g, A, D) * sign_at_scaled(g, B, D) < 0:
-                    s = 0
-                    break
-                shrink = 9
-            A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << shrink))
-        if coeffs[j + 1] * s > 0:
+    s = (coeffs[0] > 0) - (coeffs[0] < 0)
+    for j in range(1, len(coeffs)):
+        if coeffs[j] * s > 0:
             return False
+        if j < len(coeffs) - 1:
+            s, bracket = root_sign(coeffs[: j + 1], sq, bracket)
     return True
 
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from . import step_engine
 from .evaluate import DomainError, Geometric, eval_periodic
 from . import scalars
@@ -299,12 +297,17 @@ def minima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
 
 
 def _mpf_to_fraction(x) -> Fraction:
+    import mpmath
+
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     val = Fraction(man) * (Fraction(2) ** exp)
     return -val if sign else val
 
 
 def _tabor_bounds(alpha, prec: int) -> tuple[Fraction, Fraction]:
+    # mpmath, about 4 MB resident, is imported by the one computation that uses it
+    import mpmath
+
     lo, hi = scalar_enclosure(alpha, Fraction(1, 2 ** (prec + 8)))
     old = mpmath.iv.prec
     try:

@@ -159,12 +159,13 @@ def _apply_value_rational(root: Fraction, value) -> RationalScalar:
 # remainder-polynomial arithmetic for AlgebraicScalar
 
 
-def _reduce_vec(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[Fraction, ...]:
-    """The vector nums/den reduced mod the defining polynomial, as Fractions.
+def _reduce_int(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[list[int], int]:
+    """The vector nums/den reduced mod the defining polynomial, as (V, E) with E > 0.
 
     Integer numerators over one denominator (Cohen, A Course in Computational
     Algebraic Number Theory, 4.2): each elimination step scales the vector by
-    the leading coefficient and folds that scale into the denominator.
+    the leading coefficient and folds that scale into the denominator.  V has
+    no trailing zeros.
     """
     n = len(poly) - 1
     lead = poly[-1]
@@ -179,6 +180,14 @@ def _reduce_vec(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[Fraction,
                 v[k + i] -= c * poly[i]
     while v and v[-1] == 0:
         v.pop()
+    if den < 0:
+        v, den = [-x for x in v], -den
+    return v, den
+
+
+def _reduce_vec(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[Fraction, ...]:
+    """The vector nums/den reduced mod the defining polynomial, as Fractions."""
+    v, den = _reduce_int(nums, den, poly)
     return tuple(Fraction(x, den) for x in v) if v else (Fraction(0),)
 
 
@@ -192,12 +201,7 @@ def _vec_add(a, b):
 
 def _vec_mul(a, b, poly):
     (x, dx), (y, dy) = _clear_denominators(a), _clear_denominators(b)
-    out = [0] * (len(x) + len(y) - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                out[i + j] += xi * yj
-    return _reduce_vec(out, dx * dy, poly)
+    return _reduce_vec(intpoly.mul(x, y), dx * dy, poly)
 
 
 def _vec_is_all_zero(a) -> bool:

@@ -5,10 +5,19 @@ exactly when rho_n * S_{n-1} <= 0 for every n, where S_n = sum_{m<=n} 2^m c_m rh
 The two greedy resolutions of ties (choose +1 on S <= 0, or only on S < 0)
 produce the smallest and largest maximizer in [0, 1/2]; swapping the
 comparisons yields minimizers.  This module runs those recursions with exact
-scalar arithmetic, certifies eventually periodic behaviour so that finite
+arithmetic, certifies eventually periodic behaviour so that finite
 computation yields infinite conclusions, and classifies the extremizer set:
 a finite count, or a perfect set whose Hausdorff dimension is 1/(n0+1) when
 the first vanishing partial sum at index n0 closes a block recurrence.
+
+For c_m = (alpha/2)^m with alpha rational or algebraic, S_n = P_n(alpha) for
+the +-1 prefix polynomial P_n, so every decision is the sign of an integer
+polynomial at a root: `_PrefixSums` keeps S_n as an integer vector over a
+positive denominator, reduced modulo the defining polynomial of alpha's base
+root, at one vector product per term, and takes every sign, the
+certificate's included, from `intpoly.root_sign` on one bracket of that root
+that only narrows during a run.  Other sequences sum their weights as
+Scalars; interval weights propagate plain bounds (`_run_interval`).
 
 Certificates attached to a trace are sound by construction:
 
@@ -18,16 +27,17 @@ Certificates attached to a trace are sound by construction:
 * geometric weights: if the sign pattern repeats with period p (alpha^p > 0),
   the per-phase increments scale by alpha^p, so the observed signs persist
   whenever each phase either reinforces its sign, has increment zero, or is
-  dominated (|alpha| < 1) with a same-signed limit.
+  dominated (|alpha| < 1) with a same-signed limit S_{i+p} - alpha^p S_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 
-from . import scalars
+from . import intpoly, scalars
 from .evaluate import (
     CoefficientSequence,
     Geometric,
@@ -38,11 +48,14 @@ from .evaluate import (
     t_map_fraction,
 )
 from .scalars import (
+    AlgebraicScalar,
+    IntervalScalar,
     RationalScalar,
     Scalar,
     scalar_add,
     scalar_enclosure,
     scalar_mul,
+    scalar_pow,
     scalar_sign,
     scalar_sub,
 )
@@ -74,7 +87,7 @@ class PeriodCertificate:
 @dataclass(frozen=True)
 class StepTrace:
     signs: SignSequence
-    partial_sums: tuple[Scalar, ...]
+    partial_sums: Sequence[Scalar] = field(compare=False)  # S_0, ..., S_depth
     zero_indices: tuple[int, ...]
     unresolved_indices: tuple[int, ...]
     depth: int
@@ -178,31 +191,125 @@ def _decide(kind: str, tie: str, s: int) -> int:
     return 1 if tie == "sharp" else -1
 
 
+class _PrefixSums(Sequence):
+    """Partial sums S_n = sum_{m<=n} rho_m alpha^m of a Geometric sequence, in integers.
+
+    alpha is rational or algebraic: alpha = V(theta)/L for the root theta of
+    the squarefree `poly` in `bracket` (a rational a/q is V = a, L = q, poly
+    qx - a and the exact bracket (a, a, q)).  S_n = N_n(theta)/E_n with N_n
+    an integer vector reduced mod poly and E_n > 0; the power
+    alpha^n = W_n(theta)/E_n is W_{n-1} V / (E_{n-1} L) reduced, one vector
+    product a term, so N_n = f_n N_{n-1} + rho_n W_n with E_n = f_n E_{n-1}.
+    Every sign is `intpoly.root_sign` of an integer vector on one bracket of
+    theta, kept and narrowed for the object's life.  Indexing builds S_n as
+    the Scalar that summing the weights as Scalars gives.
+    """
+
+    def __init__(self, alpha: Scalar):
+        self.alpha = alpha
+        if isinstance(alpha, RationalScalar):
+            a, q = alpha.value.numerator, alpha.value.denominator
+            self.poly, self.bracket, value = (-a, q), (a, a, q), (alpha.value,)
+        else:
+            self.poly, self.bracket, value = alpha.poly, intpoly.to_bracket(alpha.lo, alpha.hi), alpha.value
+        self.v, self.l = scalars._clear_denominators(value)
+        self.powers = [[1]]  # W_n
+        self.nums = [[1]]  # N_n
+        self.dens = [1]  # E_n
+
+    def push(self, choice: int) -> None:
+        """Append S_{n+1} = S_n + choice * alpha^(n+1)."""
+        w, f = scalars._reduce_int(intpoly.mul(self.powers[-1], self.v), self.l, self.poly)
+        self.powers.append(w)
+        self.dens.append(self.dens[-1] * f)
+        self.nums.append([f * x + choice * y for x, y in zip_longest(self.nums[-1], w, fillvalue=0)])
+
+    def root_sign(self, vec) -> int:
+        s, self.bracket = intpoly.root_sign(vec, self.poly, self.bracket)
+        return s
+
+    def sign(self, n: int) -> int:
+        return self.root_sign(self.nums[n])
+
+    def alpha_sign(self, k: int) -> int:
+        """Sign of alpha - k."""
+        v = list(self.v) or [0]
+        v[0] -= k * self.l
+        return self.root_sign(v)
+
+    def increment_sign(self, i: int, p: int) -> int:
+        """Sign of S_{i+p} - S_i."""
+        r = self.dens[i + p] // self.dens[i]
+        return self.root_sign(
+            [x - r * y for x, y in zip_longest(self.nums[i + p], self.nums[i], fillvalue=0)]
+        )
+
+    def limit_sign(self, i: int, p: int) -> int:
+        """Sign of S_{i+p} - alpha^p S_i, the limit of the phase through i scaled by 1 - alpha^p."""
+        m, g = scalars._reduce_int(
+            intpoly.mul(self.powers[p], self.nums[i]), self.dens[p] * self.dens[i], self.poly
+        )
+        e = self.dens[i + p]
+        return self.root_sign([g * x - e * y for x, y in zip_longest(self.nums[i + p], m, fillvalue=0)])
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(self[k] for k in range(*n.indices(len(self))))
+        n = range(len(self))[n]
+        e = self.dens[n]
+        value = [Fraction(x, e) for x in self.nums[n]]
+        if n == 0 or isinstance(self.alpha, RationalScalar):
+            return RationalScalar(value[0] if value else Fraction(0))
+        # the Scalar sum is as long as its longest term, alpha's own value
+        # (unreduced) included
+        value += [Fraction(0)] * (len(self.alpha.value) - len(value))
+        return AlgebraicScalar(self.alpha.poly, self.alpha.lo, self.alpha.hi, tuple(value))
+
+
+class _ScalarSums(list):
+    """Partial sums of any other sequence's weights, as Scalars."""
+
+    def __init__(self, weights):
+        super().__init__([next(weights)])
+        self.weights = weights
+
+    def push(self, choice: int) -> None:
+        self.append(scalar_add(self[-1], scalar_mul(next(self.weights), choice)))
+
+    def sign(self, n: int) -> int:
+        res = scalar_sign(self[n])
+        if not res.resolved:
+            raise AbortUnresolved(n, res.width)
+        return res.sign
+
+
+def _partial_sums(c: CoefficientSequence):
+    """S_0 = w_0, extended by `push`: integer vectors for a rational or algebraic Geometric."""
+    if isinstance(c, Geometric) and not isinstance(c.alpha, IntervalScalar):
+        return _PrefixSums(c.alpha)
+    return _ScalarSums(c.weights())
+
+
 def _run(c: CoefficientSequence, kind: str, tie: str, depth: int, overrides=None):
     """Run the recursion to `depth`; returns (choices, sums, signs, zero_decisions)."""
-    weights = c.weights()
-    w0 = next(weights)
-    if isinstance(w0, scalars.IntervalScalar):
+    sums = _partial_sums(c)
+    if isinstance(sums[0], IntervalScalar):
         return _run_interval(c, kind, tie, depth, overrides)
     rho = [1]
-    sums: list[Scalar] = [w0]
     sgn: list[int] = []
     zero_decisions: list[int] = []
     for n in range(1, depth + 1):
-        res = scalar_sign(sums[-1])
-        if not res.resolved:
-            raise AbortUnresolved(n - 1, res.width)
-        s = res.sign
+        s = sums.sign(n - 1)
         sgn.append(s)
         if s == 0:
             zero_decisions.append(n)
         choice = overrides.get(n) if overrides and n in overrides else _decide(kind, tie, s)
         rho.append(choice)
-        sums.append(scalar_add(sums[-1], scalar_mul(next(weights), choice)))
-    res = scalar_sign(sums[-1])
-    if not res.resolved:
-        raise AbortUnresolved(depth, res.width)
-    sgn.append(res.sign)
+        sums.push(choice)
+    sgn.append(sums.sign(depth))
     return rho, sums, sgn, zero_decisions
 
 
@@ -303,73 +410,89 @@ def _certify_alternating(c, kind, rho, sums, sgn, depth):
     return None
 
 
+class _IntervalPhases:
+    """The geometric certificate's sign queries on the Scalar sums of an interval alpha."""
+
+    def __init__(self, alpha: Scalar, sums):
+        self.alpha, self.sums = alpha, sums
+
+    def alpha_sign(self, k: int) -> int | None:
+        return scalar_sign(scalar_sub(self.alpha, k)).sign
+
+    def increment_sign(self, i: int, p: int) -> int | None:
+        return scalar_sign(scalar_sub(self.sums[i + p], self.sums[i])).sign
+
+    def limit_sign(self, i: int, p: int) -> int | None:
+        one_minus = scalar_sub(Fraction(1), scalar_pow(self.alpha, p))
+        d = scalar_sub(self.sums[i + p], self.sums[i])
+        return scalar_sign(scalar_add(scalar_mul(self.sums[i], one_minus), d)).sign
+
+
+def _period_start(rho, sgn, depth: int, p: int) -> int | None:
+    """Least start <= depth - 3p + 1 with rho_{k+p} = rho_k for k >= start and
+    sgn_{k+p} = sgn_k for k >= max(start - 1, 0), through depth; else None."""
+    k = depth - p
+    while k >= 0 and rho[k + p] == rho[k]:
+        k -= 1
+    start = k + 1
+    k = depth - p
+    while k >= 0 and sgn[k + p] == sgn[k]:
+        k -= 1
+    if k >= 0:
+        start = max(start, k + 2)
+    return start if start <= depth - 3 * p + 1 else None
+
+
 def _certify_geometric(c, rho, sums, sgn, depth):
     alpha = c.geometric_ratio()
     if alpha is None:
         return None
-    sa = scalar_sign(alpha)
-    if not sa.resolved:
+    phases = sums if isinstance(sums, _PrefixSums) else _IntervalPhases(alpha, sums)
+    sa = phases.alpha_sign(0)
+    if sa is None:
         return None
-    alpha_neg = sa.sign < 0
-    # |alpha| vs 1 decides whether opposing phases can be dominated
-    s_lo = scalar_sign(scalar_add(alpha, Fraction(1))).sign
-    s_hi = scalar_sign(scalar_sub(alpha, Fraction(1))).sign
-    abs_lt_1 = s_lo > 0 and s_hi < 0
-    abs_eq_1 = s_lo == 0 or s_hi == 0
-
-    max_p = (depth + 1) // 3
-    # the weights of a geometric sequence are the powers alpha^p
-    for p, alpha_p in zip(range(1, max_p + 1), islice(c.weights(), 1, None)):
-        if alpha_neg and p % 2:
+    # |alpha| < 1 decides whether opposing phases can be dominated
+    abs_lt_1 = phases.alpha_sign(-1) == 1 and phases.alpha_sign(1) == -1
+    for p in range(1, (depth + 1) // 3 + 1):
+        if sa < 0 and p % 2:
             continue
-        one_minus = scalar_sub(Fraction(1), alpha_p)
-        for start in range(0, depth - 3 * p + 2):
-            if any(rho[k + p] != rho[k] for k in range(start, depth - p + 1)):
-                continue
-            lo_anchor = max(start - 1, 0)
-            if any(sgn[k + p] != sgn[k] for k in range(lo_anchor, depth - p + 1)):
-                continue
-            cert = _check_phases(
-                sums, sgn, depth, p, lo_anchor, alpha_p, one_minus, abs_lt_1, abs_eq_1
-            )
-            if cert is not None:
-                zero_phases, reasons = cert
-                return PeriodCertificate(start, p, zero_phases, reasons), tuple(
-                    rho[start : start + p]
-                )
+        # the phases checked are those of i = depth - 2p + 1 .. depth - p
+        # whatever the start, so the least start decides for every start
+        start = _period_start(rho, sgn, depth, p)
+        if start is None:
+            continue
+        cert = _check_phases(phases, sgn, depth, p, max(start - 1, 0), abs_lt_1)
+        if cert is not None:
+            zero_phases, reasons = cert
+            return PeriodCertificate(start, p, zero_phases, reasons), tuple(rho[start : start + p])
     return None
 
 
-def _check_phases(sums, sgn, depth, p, lo_anchor, alpha_p, one_minus, abs_lt_1, abs_eq_1):
+def _check_phases(phases, sgn, depth, p, lo_anchor, abs_lt_1):
     zero_phases = []
     reasons = []
     for r in range(p):
         i = depth - p - ((depth - p - (lo_anchor + r)) % p)
-        if i < lo_anchor:
-            return None
-        d = scalar_sub(sums[i + p], sums[i])
-        sd = scalar_sign(d)
-        if not sd.resolved:
+        sd = phases.increment_sign(i, p)
+        if sd is None:
             return None
         si = sgn[i]
-        if sd.sign == 0:
+        if sd == 0:
             if si == 0:
                 zero_phases.append(r)
             reasons.append("phase %d: increment zero, sum persists" % r)
             continue
         if si == 0:
             return None  # sign period would already have been violated
-        if sd.sign == si:
+        if sd == si:
             reasons.append("phase %d: reinforcing increments" % r)
             continue
-        if not abs_lt_1 or abs_eq_1:
+        if not abs_lt_1:
             return None
-        # limit = S_i + D/(1 - alpha^p); same sign (or zero) keeps the sign forever
-        w = scalar_add(scalar_mul(sums[i], one_minus), d)
-        sw = scalar_sign(w)
-        if not sw.resolved:
-            return None
-        if sw.sign == si or sw.sign == 0:
+        # the limit S_i + D/(1 - alpha^p) has the sign of S_{i+p} - alpha^p S_i;
+        # same sign (or zero) keeps the sign forever
+        sw = phases.limit_sign(i, p)
+        if sw == si or sw == 0:
             reasons.append("phase %d: dominated opposing increments" % r)
             continue
         return None
@@ -396,8 +519,8 @@ def _build_trace(c, kind, tie, depth, overrides=None) -> StepTrace:
         signs = SignSequence(tuple(rho), (cert.start, block))
         # zeros in the certified tail recur along their phases; keep only the
         # prefix occurrences in zero_indices (complete when tail is zero free)
-        return StepTrace(signs, tuple(sums), zeros, (), depth, cert)
-    return StepTrace(SignSequence(tuple(rho)), tuple(sums), zeros, (), depth, None)
+        return StepTrace(signs, sums, zeros, (), depth, cert)
+    return StepTrace(SignSequence(tuple(rho)), sums, zeros, (), depth, None)
 
 
 def build_rho(c: CoefficientSequence, variant: str, depth: int = DEFAULT_DEPTH) -> StepTrace:
@@ -421,16 +544,16 @@ def check_step_condition(
     upto = rho.determined_upto()
     if upto is not None and upto < depth + 1:
         raise ValueError("sign sequence not determined up to requested depth")
-    weights = c.weights()
-    s: Scalar = scalar_mul(next(weights), rho[0])
+    # S_n = rho_0 S'_n, where S' is the sum with choices rho_0 rho_n from S'_0 = w_0
+    sums = _partial_sums(c)
     for n in range(1, depth + 1):
-        res = scalar_sign(s)
-        if not res.resolved:
+        try:
+            test = rho[n] * rho[0] * sums.sign(n - 1)
+        except AbortUnresolved:
             return StepCheckResult("unresolved", n)
-        test = rho[n] * res.sign
         if (kind == "max" and test > 0) or (kind == "min" and test < 0):
             return StepCheckResult("violated", n)
-        s = scalar_add(s, scalar_mul(next(weights), rho[n]))
+        sums.push(rho[0] * rho[n])
     return StepCheckResult("holds")
 
 
@@ -467,7 +590,7 @@ def _enumerate_leaves(c, kind, depth, zeros_cap=ENUMERATION_CAP):
             return None  # infinitely many zeros: not a finite enumeration
         zeros = tuple(n for n in range(depth + 1) if sgn[n] == 0)
         signs = SignSequence(tuple(trace_rho), (cert.start, block))
-        leaves.append(StepTrace(signs, tuple(sums), zeros, (), depth, cert))
+        leaves.append(StepTrace(signs, sums, zeros, (), depth, cert))
     return leaves
 
 

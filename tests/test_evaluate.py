@@ -360,3 +360,29 @@ def test_series_without_residue_tails_skips_the_orbit(monkeypatch):
     residues, start = orbit(t)
     expected = ev._periodic_bounds(c, list(ev._tents(t, residues)), start, width)
     assert ev._series_bounds(c, t, width) == expected
+
+
+def _scalar_tent_sum(c, t, terms):
+    """sum_{m < terms} c_m tent(2^m t) added one Scalar term at a time."""
+    total = sc.RationalScalar(F(0))
+    for m, cm in zip(range(terms), c.coefficients()):
+        total = sc.scalar_add(total, sc.scalar_mul(cm, ev.tent(2**m * t)))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fractions(min_value=F(-79, 40), max_value=F(79, 40), max_denominator=40),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+def test_rational_closed_forms_match_scalar_sums(alpha, t):
+    c = ev.Geometric(sc.rational(alpha))
+    assert ev.eval_truncated(c, 12, t) == _scalar_tent_sum(c, t, 13)
+    # the periodic value against the preperiod plus the block summed as a
+    # geometric series in Scalars
+    residues, s = ev._orbit(t)
+    p = len(residues) - s
+    head = _scalar_tent_sum(c, t, s)
+    block = sc.scalar_sub(_scalar_tent_sum(c, t, s + p), head)
+    ratio = sc.scalar_inverse(sc.scalar_sub(F(1), c.coefficient(p)))
+    assert ev.eval_periodic(c, t) == sc.scalar_add(head, sc.scalar_mul(block, ratio))

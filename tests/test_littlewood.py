@@ -279,3 +279,20 @@ def test_closure_gap_report():
     )
     total = sum(b - a for a, b in gaps_small)
     assert total < F(1, 4)  # roots already fairly dense in (1/2, 1]
+
+
+def test_real_roots_are_the_base_roots_algebraic_builds():
+    # real_roots builds each base root from the walker's bracket directly;
+    # algebraic() on the same bracket, with its own Sturm count, agrees
+    for degree in range(1, 11):
+        for mask in range(1 << degree):
+            p = lw.LittlewoodPoly.from_mask(degree, mask)
+            sq, brackets, _ = ip.isolate_brackets(p.coeffs, lw._ANNULUS)
+            roots = lw.real_roots(p)
+            assert len(roots) == len(brackets)
+            for root, bracket in zip(roots, brackets):
+                A, B, D = ip.refine_bracket(sq, bracket, lw.ROOT_WIDTH)
+                if A == B:
+                    assert root == sc.RationalScalar(F(A, D))
+                else:
+                    assert root == sc.algebraic(p.coeffs, F(A, D), F(B, D)), (p, root)

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from takagi import evaluate as ev
+from takagi import littlewood as lw
 from takagi import oracle
 from takagi import scalars as sc
 from takagi import step_engine as se
@@ -297,3 +299,124 @@ def test_algebraic_recursion_takes_one_product_per_weight(monkeypatch):
     monkeypatch.setattr(sc, "_vec_mul", counted)
     se.classify_extrema(geometric(QUARTIC), "max", 48)
     assert len(calls) <= 4 * 48
+
+
+# ---------------------------------------------------------------------------
+# the integer recursion of a Geometric sequence against Scalar arithmetic
+
+
+def _scalar_run(c, kind, tie, depth, overrides):
+    """The recursion with every partial sum a Scalar, the reference for `_PrefixSums`."""
+    weights = c.weights()
+    rho, sums, sgn, zeros = [1], [next(weights)], [], []
+    for n in range(1, depth + 1):
+        s = sc.scalar_sign(sums[-1]).sign
+        sgn.append(s)
+        if s == 0:
+            zeros.append(n)
+        choice = overrides.get(n, se._decide(kind, tie, s))
+        rho.append(choice)
+        sums.append(sc.scalar_add(sums[-1], sc.scalar_mul(next(weights), choice)))
+    sgn.append(sc.scalar_sign(sums[-1]).sign)
+    return rho, sums, sgn, zeros
+
+
+def _scalar_certify_geometric(alpha, weights, rho, sums, sgn, depth):
+    """The geometric certificate in Scalars: every start of every period, alpha^p built."""
+    alpha_neg = sc.scalar_sign(alpha).sign < 0
+    s_lo = sc.scalar_sign(sc.scalar_add(alpha, F(1))).sign
+    s_hi = sc.scalar_sign(sc.scalar_sub(alpha, F(1))).sign
+    abs_lt_1 = s_lo > 0 and s_hi < 0
+    for p, alpha_p in zip(range(1, (depth + 1) // 3 + 1), weights[1:]):
+        if alpha_neg and p % 2:
+            continue
+        one_minus = sc.scalar_sub(F(1), alpha_p)
+        for start in range(0, depth - 3 * p + 2):
+            if any(rho[k + p] != rho[k] for k in range(start, depth - p + 1)):
+                continue
+            lo_anchor = max(start - 1, 0)
+            if any(sgn[k + p] != sgn[k] for k in range(lo_anchor, depth - p + 1)):
+                continue
+            zero_phases, reasons = [], []
+            for r in range(p):
+                i = depth - p - ((depth - p - (lo_anchor + r)) % p)
+                d = sc.scalar_sub(sums[i + p], sums[i])
+                sd, si = sc.scalar_sign(d).sign, sgn[i]
+                if sd == 0:
+                    if si == 0:
+                        zero_phases.append(r)
+                    reasons.append("phase %d: increment zero, sum persists" % r)
+                elif si != 0 and sd == si:
+                    reasons.append("phase %d: reinforcing increments" % r)
+                elif si != 0 and abs_lt_1 and sc.scalar_sign(
+                    sc.scalar_add(sc.scalar_mul(sums[i], one_minus), d)
+                ).sign in (si, 0):
+                    reasons.append("phase %d: dominated opposing increments" % r)
+                else:
+                    break
+            else:
+                cert = se.PeriodCertificate(start, p, tuple(sorted(zero_phases)), tuple(reasons))
+                return cert, tuple(rho[start : start + p])
+    return None
+
+
+LITTLEWOOD_ROOTS = [
+    r
+    for degree in range(1, 7)
+    for mask in range(1 << degree)
+    for r in lw.real_roots(lw.LittlewoodPoly.from_mask(degree, mask))
+]
+NON_MONIC = sc.algebraic([-1, 0, 3], 0, 1)  # 1/sqrt(3)
+NON_BASE = sc.scalar_sub(SQRT2, F(1, 2))  # value (-1/2, 1) over the root sqrt(2)
+UNREDUCED = sc.scalar_add(sc.scalar_sub(SQRT2, SQRT2), F(3, 4))  # value (3/4, 0)
+NEGATIVE_LEAD = sc.scalar_mul(sc.algebraic([1, 0, -3], 0, 1), F(-5, 3))  # over 1 - 3x^2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(min_value=F(-79, 40), max_value=F(79, 40), max_denominator=40).map(sc.rational),
+        st.sampled_from(LITTLEWOOD_ROOTS),
+        st.just(NON_MONIC),
+        st.sampled_from([NON_BASE, UNREDUCED, NEGATIVE_LEAD]),
+    ),
+    st.sampled_from(["max", "min"]),
+    st.sampled_from(["sharp", "flat"]),
+    st.integers(min_value=1, max_value=36),
+    st.dictionaries(st.integers(min_value=1, max_value=36), st.sampled_from([1, -1]), max_size=2),
+)
+@example(X1, "max", "sharp", 30, {})  # a zero that does not recur: the sign period starts late
+@example(UNREDUCED, "min", "flat", 8, {})
+def test_integer_recursion_matches_scalar_sums(alpha, kind, tie, depth, overrides):
+    c = ev.Geometric(alpha)
+    rho, sums, sgn, zeros = se._run(c, kind, tie, depth, overrides)
+    ref_rho, ref_sums, ref_sgn, ref_zeros = _scalar_run(c, kind, tie, depth, overrides)
+    assert (rho, sgn, zeros) == (ref_rho, ref_sgn, ref_zeros)
+    assert list(sums) == ref_sums
+    assert se._certify_geometric(c, rho, sums, sgn, depth) == _scalar_certify_geometric(
+        c.alpha, list(islice(c.weights(), depth + 1)), rho, ref_sums, sgn, depth
+    )
+
+
+def test_geometric_run_takes_one_product_per_term_and_no_scalar_sign(monkeypatch):
+    for alpha, depth in ((QUARTIC, 48), (X1, 64), (NON_MONIC, 64), (F(1234, 1999), 64), (F(-19, 10), 512)):
+        c = geometric(alpha)
+        products, scalar_signs = [], []
+        reduce_int = sc._reduce_int
+
+        def counted(*args):
+            products.append(args)
+            return reduce_int(*args)
+
+        def no_sign(*args):
+            scalar_signs.append(args)
+            raise AssertionError("scalar_sign called")
+
+        with monkeypatch.context() as m:
+            m.setattr(sc, "_reduce_int", counted)
+            m.setattr(sc, "scalar_sign", no_sign)
+            m.setattr(se, "scalar_sign", no_sign)
+            rho, sums, sgn, _ = se._run(c, "max", "sharp", depth)
+        assert len(rho) == len(sgn) == depth + 1
+        assert len(products) <= depth + 1
+        assert not scalar_signs
