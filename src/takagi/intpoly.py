@@ -358,6 +358,17 @@ def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction) -> Bracket:
     return A, B, D
 
 
+def has_root(g: IntPoly, bracket: Bracket) -> bool:
+    """Whether g has positive degree and changes sign across `bracket`.
+
+    For g a gcd with a squarefree polynomial whose root the bracket isolates
+    (endpoints not roots), g has at most that root there, so this is the
+    exact test that the root is a root of g.
+    """
+    A, B, D = bracket
+    return degree(g) >= 1 and sign_at_scaled(g, A, D) * sign_at_scaled(g, B, D) < 0
+
+
 def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[int, Bracket]:
     """Sign of p(x) for the root x of the squarefree `sq` in `bracket`, and a bracket of x.
 
@@ -383,8 +394,7 @@ def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[int, Bracket]:
         shrink = 5
         if (B - A) << 64 <= D:
             if not tested:
-                g = poly_gcd(sq, p)
-                if degree(g) >= 1 and sign_at_scaled(g, A, D) * sign_at_scaled(g, B, D) < 0:
+                if has_root(poly_gcd(sq, p), (A, B, D)):
                     return 0, (A, B, D)
                 tested = True
             shrink = 9

@@ -195,12 +195,7 @@ def is_step_root(p: LittlewoodPoly, root: Scalar) -> bool:
         on_root = intpoly.sign_at(p.coeffs, x) == 0
     elif isinstance(root, AlgebraicScalar) and root.value == (Fraction(0), Fraction(1)):
         sq, bracket = root.poly, intpoly.to_bracket(root.lo, root.hi)
-        # root.poly is squarefree and isolates one root in (lo, hi), so the
-        # gcd has at most that root there: a sign change decides
-        g = intpoly.poly_gcd(root.poly, p.coeffs)
-        on_root = intpoly.degree(g) >= 1 and (
-            intpoly.sign_at(g, root.lo) * intpoly.sign_at(g, root.hi) < 0
-        )
+        on_root = intpoly.has_root(intpoly.poly_gcd(root.poly, p.coeffs), bracket)
     else:
         raise ValueError("is_step_root expects a rational or a plain base root")
     if not on_root:

@@ -268,21 +268,6 @@ def _next_depth(depth: int) -> int:
     return max(4, 2 * depth)
 
 
-def _alg_value_zero(a: AlgebraicScalar, v: IntPoly) -> bool:
-    """Exact test of v(alpha) == 0 via gcd against the defining polynomial.
-
-    `v` is the value polynomial cleared of denominators.
-    """
-    if not v:
-        return True
-    g = intpoly.poly_gcd(a.poly, v)
-    if intpoly.degree(g) < 1:
-        return False
-    # g divides poly, so it has at most one (simple) root in (lo, hi) and the
-    # endpoints are not roots; a sign change decides.
-    return intpoly.sign_at(g, a.lo) * intpoly.sign_at(g, a.hi) < 0
-
-
 def _alg_sign(a: AlgebraicScalar) -> int:
     walk = _Bisection(a)
     # an enclosure that excludes 0 has the sign; the exact zero test runs
@@ -294,7 +279,8 @@ def _alg_sign(a: AlgebraicScalar) -> int:
             return 1
         if hi < 0:
             return -1
-        if depth == 0 and _alg_value_zero(a, walk.v):
+        # v(alpha) = 0 exactly when gcd(poly, v) vanishes at alpha (v = 0 included)
+        if depth == 0 and intpoly.has_root(intpoly.poly_gcd(a.poly, walk.v), walk.brackets[0]):
             return 0
         depth = _next_depth(depth)
 
@@ -329,7 +315,7 @@ def _alg_localize(a: AlgebraicScalar, offender: IntPoly) -> AlgebraicScalar:
     g = intpoly.poly_gcd(a.poly, offender)
     if intpoly.degree(g) < 1:
         return a
-    if intpoly.sign_at(g, a.lo) * intpoly.sign_at(g, a.hi) < 0:
+    if intpoly.has_root(g, intpoly.to_bracket(a.lo, a.hi)):
         raise ZeroDivisionError("scalar inverse of zero value")
     q = intpoly.squarefree_part(intpoly.exact_div(a.poly, g))
     return AlgebraicScalar(q, a.lo, a.hi, _reduce_vec(*_clear_denominators(a.value), q))
@@ -420,9 +406,7 @@ def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
     if (a.lo, a.hi) != (b.lo, b.hi):
         return None
     g = intpoly.poly_gcd(a.poly, b.poly)
-    if intpoly.degree(g) < 1:
-        return None
-    if intpoly.sign_at(g, a.lo) * intpoly.sign_at(g, a.hi) >= 0:
+    if not intpoly.has_root(g, intpoly.to_bracket(a.lo, a.hi)):
         return None
     g = intpoly.squarefree_part(g)
     return (
@@ -678,10 +662,7 @@ def same_root(a, b) -> bool:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
-    g = intpoly.poly_gcd(a.poly, b.poly)
-    if intpoly.degree(g) < 1:
-        return False
-    return intpoly.sign_at(g, lo) * intpoly.sign_at(g, hi) < 0
+    return intpoly.has_root(intpoly.poly_gcd(a.poly, b.poly), intpoly.to_bracket(lo, hi))
 
 
 # ---------------------------------------------------------------------------

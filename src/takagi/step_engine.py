@@ -16,8 +16,10 @@ polynomial at a root: `_PrefixSums` keeps S_n as an integer vector over a
 positive denominator, reduced modulo the defining polynomial of alpha's base
 root, at one vector product per term, and takes every sign, the
 certificate's included, from `intpoly.root_sign` on one bracket of that root
-that only narrows during a run.  Other sequences sum their weights as
-Scalars; interval weights propagate plain bounds (`_run_interval`).
+that only narrows during a run.  Every other sequence, an interval alpha
+included, runs the same loop, `_run`, over Scalar sums (`_ScalarSums`):
+exact weights sum exactly and an interval sum is kept as flat bounds, so a
+straddling sign means the coefficients are too coarse.
 
 Certificates attached to a trace are sound by construction:
 
@@ -61,7 +63,7 @@ from .scalars import (
 )
 
 DEFAULT_DEPTH = 64
-DEFAULT_DEPTH_BITS = 128  # enclosure width request for interval coefficients
+DEFAULT_DEPTH_BITS = 128  # an interval partial sum is enclosed once at 2^-bits
 ENUMERATION_CAP = 12  # max certified zeros before classification gives up
 
 
@@ -89,7 +91,6 @@ class StepTrace:
     signs: SignSequence
     partial_sums: Sequence[Scalar] = field(compare=False)  # S_0, ..., S_depth
     zero_indices: tuple[int, ...]
-    unresolved_indices: tuple[int, ...]
     depth: int
     certificate: PeriodCertificate | None = None
 
@@ -269,15 +270,40 @@ class _PrefixSums(Sequence):
         return AlgebraicScalar(self.alpha.poly, self.alpha.lo, self.alpha.hi, tuple(value))
 
 
-class _ScalarSums(list):
-    """Partial sums of any other sequence's weights, as Scalars."""
+def _flat(s: Scalar, width: Fraction) -> Scalar:
+    """An interval's bounds at `width`, or as near as it refines, with no hook; exact s as is."""
+    return IntervalScalar(*scalars._enclose(s, width)) if isinstance(s, IntervalScalar) else s
 
-    def __init__(self, weights):
-        super().__init__([next(weights)])
-        self.weights = weights
+
+class _ScalarSums(list):
+    """Partial sums of any other sequence's weights, as Scalars.
+
+    Exact weights sum exactly.  An interval sum is enclosed once, to
+    2^-DEFAULT_DEPTH_BITS beyond the width of the sum before it, and kept as
+    flat bounds with no refinement hook, so a sign that still straddles 0
+    means the coefficients are too coarse: `sign` raises AbortUnresolved.
+    An interval alpha is made flat too, so the certificate's queries take
+    their signs with no refinement round (None when unresolved): none could
+    narrow them, and an exactly-zero phase limit straddles at every width.
+    """
+
+    def __init__(self, c: CoefficientSequence):
+        super().__init__()
+        self.weights = c.weights()
+        self.alpha = _flat(c.geometric_ratio(), Fraction(1, 2**DEFAULT_DEPTH_BITS))
+        self._append(next(self.weights))
+
+    def _append(self, s: Scalar) -> None:
+        # only the new weight can narrow, the sum before it being exact or
+        # flat: asking for 2^-bits in all would refine that weight without
+        # end once the flat widths add up past 2^-bits
+        width = Fraction(1, 2**DEFAULT_DEPTH_BITS)
+        if self and isinstance(self[-1], IntervalScalar):
+            width += self[-1].hi - self[-1].lo
+        self.append(_flat(s, width))
 
     def push(self, choice: int) -> None:
-        self.append(scalar_add(self[-1], scalar_mul(next(self.weights), choice)))
+        self._append(scalar_add(self[-1], scalar_mul(next(self.weights), choice)))
 
     def sign(self, n: int) -> int:
         res = scalar_sign(self[n])
@@ -285,19 +311,31 @@ class _ScalarSums(list):
             raise AbortUnresolved(n, res.width)
         return res.sign
 
+    def alpha_sign(self, k: int) -> int | None:
+        return scalar_sign(scalar_sub(self.alpha, k), 0).sign
+
+    def increment_sign(self, i: int, p: int) -> int | None:
+        return scalar_sign(scalar_sub(self[i + p], self[i]), 0).sign
+
+    def limit_sign(self, i: int, p: int) -> int | None:
+        one_minus = scalar_sub(Fraction(1), scalar_pow(self.alpha, p))
+        d = scalar_sub(self[i + p], self[i])
+        return scalar_sign(scalar_add(scalar_mul(self[i], one_minus), d), 0).sign
+
+
+def _exact_geometric(c: CoefficientSequence) -> bool:
+    """Whether c is a Geometric sequence over a rational or algebraic alpha."""
+    return isinstance(c, Geometric) and not isinstance(c.alpha, IntervalScalar)
+
 
 def _partial_sums(c: CoefficientSequence):
     """S_0 = w_0, extended by `push`: integer vectors for a rational or algebraic Geometric."""
-    if isinstance(c, Geometric) and not isinstance(c.alpha, IntervalScalar):
-        return _PrefixSums(c.alpha)
-    return _ScalarSums(c.weights())
+    return _PrefixSums(c.alpha) if _exact_geometric(c) else _ScalarSums(c)
 
 
 def _run(c: CoefficientSequence, kind: str, tie: str, depth: int, overrides=None):
     """Run the recursion to `depth`; returns (choices, sums, signs, zero_decisions)."""
     sums = _partial_sums(c)
-    if isinstance(sums[0], IntervalScalar):
-        return _run_interval(c, kind, tie, depth, overrides)
     rho = [1]
     sgn: list[int] = []
     zero_decisions: list[int] = []
@@ -310,56 +348,6 @@ def _run(c: CoefficientSequence, kind: str, tie: str, depth: int, overrides=None
         rho.append(choice)
         sums.push(choice)
     sgn.append(sums.sign(depth))
-    return rho, sums, sgn, zero_decisions
-
-
-def _run_interval(c, kind, tie, depth, overrides=None):
-    """Interval-coefficient variant: flat bound propagation, abort on straddle.
-
-    Keeps the partial sums as plain rational bounds (no lazy refinement
-    chains); a sign query failing means the coefficients themselves are too
-    coarse, which is exactly the AbortUnresolved contract.
-    """
-    width = Fraction(1, 2**DEFAULT_DEPTH_BITS)
-    weights = c.weights()
-    rho = [1]
-    lo, hi = scalar_enclosure(next(weights), width)
-    bounds = [(lo, hi)]
-    sgn: list[int] = []
-    zero_decisions: list[int] = []
-    for n in range(1, depth + 1):
-        slo, shi = bounds[-1]
-        if slo > 0:
-            s = 1
-        elif shi < 0:
-            s = -1
-        elif slo == shi == 0:
-            s = 0
-        else:
-            raise AbortUnresolved(n - 1, shi - slo)
-        sgn.append(s)
-        if s == 0:
-            zero_decisions.append(n)
-        choice = overrides.get(n) if overrides and n in overrides else _decide(kind, tie, s)
-        rho.append(choice)
-        w = next(weights)
-        try:
-            wlo, whi = scalar_enclosure(w, width)
-        except scalars.PrecisionError:
-            wlo, whi = scalars._current_bounds(w)
-        if choice < 0:
-            wlo, whi = -whi, -wlo
-        bounds.append((bounds[-1][0] + wlo, bounds[-1][1] + whi))
-    slo, shi = bounds[-1]
-    if slo > 0:
-        sgn.append(1)
-    elif shi < 0:
-        sgn.append(-1)
-    elif slo == shi == 0:
-        sgn.append(0)
-    else:
-        raise AbortUnresolved(depth, shi - slo)
-    sums = [scalars.IntervalScalar(l, h) for l, h in bounds]
     return rho, sums, sgn, zero_decisions
 
 
@@ -410,24 +398,6 @@ def _certify_alternating(c, kind, rho, sums, sgn, depth):
     return None
 
 
-class _IntervalPhases:
-    """The geometric certificate's sign queries on the Scalar sums of an interval alpha."""
-
-    def __init__(self, alpha: Scalar, sums):
-        self.alpha, self.sums = alpha, sums
-
-    def alpha_sign(self, k: int) -> int | None:
-        return scalar_sign(scalar_sub(self.alpha, k)).sign
-
-    def increment_sign(self, i: int, p: int) -> int | None:
-        return scalar_sign(scalar_sub(self.sums[i + p], self.sums[i])).sign
-
-    def limit_sign(self, i: int, p: int) -> int | None:
-        one_minus = scalar_sub(Fraction(1), scalar_pow(self.alpha, p))
-        d = scalar_sub(self.sums[i + p], self.sums[i])
-        return scalar_sign(scalar_add(scalar_mul(self.sums[i], one_minus), d)).sign
-
-
 def _period_start(rho, sgn, depth: int, p: int) -> int | None:
     """Least start <= depth - 3p + 1 with rho_{k+p} = rho_k for k >= start and
     sgn_{k+p} = sgn_k for k >= max(start - 1, 0), through depth; else None."""
@@ -444,15 +414,13 @@ def _period_start(rho, sgn, depth: int, p: int) -> int | None:
 
 
 def _certify_geometric(c, rho, sums, sgn, depth):
-    alpha = c.geometric_ratio()
-    if alpha is None:
+    if c.geometric_ratio() is None:
         return None
-    phases = sums if isinstance(sums, _PrefixSums) else _IntervalPhases(alpha, sums)
-    sa = phases.alpha_sign(0)
+    sa = sums.alpha_sign(0)
     if sa is None:
         return None
     # |alpha| < 1 decides whether opposing phases can be dominated
-    abs_lt_1 = phases.alpha_sign(-1) == 1 and phases.alpha_sign(1) == -1
+    abs_lt_1 = sums.alpha_sign(-1) == 1 and sums.alpha_sign(1) == -1
     for p in range(1, (depth + 1) // 3 + 1):
         if sa < 0 and p % 2:
             continue
@@ -461,19 +429,19 @@ def _certify_geometric(c, rho, sums, sgn, depth):
         start = _period_start(rho, sgn, depth, p)
         if start is None:
             continue
-        cert = _check_phases(phases, sgn, depth, p, max(start - 1, 0), abs_lt_1)
+        cert = _check_phases(sums, sgn, depth, p, max(start - 1, 0), abs_lt_1)
         if cert is not None:
             zero_phases, reasons = cert
             return PeriodCertificate(start, p, zero_phases, reasons), tuple(rho[start : start + p])
     return None
 
 
-def _check_phases(phases, sgn, depth, p, lo_anchor, abs_lt_1):
+def _check_phases(sums, sgn, depth, p, lo_anchor, abs_lt_1):
     zero_phases = []
     reasons = []
     for r in range(p):
         i = depth - p - ((depth - p - (lo_anchor + r)) % p)
-        sd = phases.increment_sign(i, p)
+        sd = sums.increment_sign(i, p)
         if sd is None:
             return None
         si = sgn[i]
@@ -491,7 +459,7 @@ def _check_phases(phases, sgn, depth, p, lo_anchor, abs_lt_1):
             return None
         # the limit S_i + D/(1 - alpha^p) has the sign of S_{i+p} - alpha^p S_i;
         # same sign (or zero) keeps the sign forever
-        sw = phases.limit_sign(i, p)
+        sw = sums.limit_sign(i, p)
         if sw == si or sw == 0:
             reasons.append("phase %d: dominated opposing increments" % r)
             continue
@@ -508,19 +476,23 @@ def _certify(c, kind, tie, rho, sums, sgn, depth):
     return got
 
 
-def _build_trace(c, kind, tie, depth, overrides=None) -> StepTrace:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    rho, sums, sgn, _ = _run(c, kind, tie, depth, overrides)
+def _trace(c, kind, tie, depth, run) -> StepTrace:
+    """The StepTrace of one `_run` result, its tail fixed by a certificate when one fires."""
+    rho, sums, sgn, _ = run
+    # zeros in the certified tail recur along their phases; keep only the
+    # prefix occurrences in zero_indices (complete when tail is zero free)
     zeros = tuple(n for n in range(depth + 1) if sgn[n] == 0)
     got = _certify(c, kind, tie, rho, sums, sgn, depth)
-    if got is not None:
-        cert, block = got
-        signs = SignSequence(tuple(rho), (cert.start, block))
-        # zeros in the certified tail recur along their phases; keep only the
-        # prefix occurrences in zero_indices (complete when tail is zero free)
-        return StepTrace(signs, sums, zeros, (), depth, cert)
-    return StepTrace(SignSequence(tuple(rho)), sums, zeros, (), depth, None)
+    if got is None:
+        return StepTrace(SignSequence(tuple(rho)), sums, zeros, depth, None)
+    cert, block = got
+    return StepTrace(SignSequence(tuple(rho), (cert.start, block)), sums, zeros, depth, cert)
+
+
+def _build_trace(c, kind, tie, depth) -> StepTrace:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return _trace(c, kind, tie, depth, _run(c, kind, tie, depth))
 
 
 def build_rho(c: CoefficientSequence, variant: str, depth: int = DEFAULT_DEPTH) -> StepTrace:
@@ -561,7 +533,7 @@ def check_step_condition(
 # classification
 
 
-def _enumerate_leaves(c, kind, depth, zeros_cap=ENUMERATION_CAP):
+def _enumerate_leaves(c, kind, depth):
     """All step-condition sign sequences, forking at every vanishing sum.
 
     Returns a list of certified traces (one per sequence) or None when some
@@ -571,10 +543,10 @@ def _enumerate_leaves(c, kind, depth, zeros_cap=ENUMERATION_CAP):
     stack = [dict()]
     while stack:
         overrides = stack.pop()
-        trace_rho, sums, sgn, zero_decisions = _run(c, kind, "sharp", depth, overrides)
-        pending = [n for n in zero_decisions if n not in overrides]
+        run = _run(c, kind, "sharp", depth, overrides)
+        pending = [n for n in run[3] if n not in overrides]
         if pending:
-            if len(overrides) >= zeros_cap:
+            if len(overrides) >= ENUMERATION_CAP:
                 return None
             n = pending[0]
             for choice in (1, -1):
@@ -582,15 +554,11 @@ def _enumerate_leaves(c, kind, depth, zeros_cap=ENUMERATION_CAP):
                 nxt[n] = choice
                 stack.append(nxt)
             continue
-        got = _certify(c, kind, "sharp", trace_rho, sums, sgn, depth)
-        if got is None:
+        leaf = _trace(c, kind, "sharp", depth, run)
+        # no certificate, or infinitely many zeros: not a finite enumeration
+        if leaf.certificate is None or leaf.certificate.zero_phases:
             return None
-        cert, block = got
-        if cert.zero_phases:
-            return None  # infinitely many zeros: not a finite enumeration
-        zeros = tuple(n for n in range(depth + 1) if sgn[n] == 0)
-        signs = SignSequence(tuple(trace_rho), (cert.start, block))
-        leaves.append(StepTrace(signs, sums, zeros, (), depth, cert))
+        leaves.append(leaf)
     return leaves
 
 
@@ -650,7 +618,7 @@ def _value_near(c, t: Fraction, eps: Fraction, width: Fraction) -> tuple[Fractio
 
 def _extremum_value(c, kind, loc: Location, width: Fraction) -> tuple[Fraction, Fraction]:
     if loc.exact is not None:
-        if isinstance(c, Geometric):
+        if _exact_geometric(c):
             return scalar_enclosure(eval_periodic(c, loc.exact), width)
         return scalar_enclosure(eval_series(c, loc.exact, width), width)
     return _value_near(c, loc.approx, loc.error, width)
@@ -738,15 +706,13 @@ def nonneg_check(c: CoefficientSequence, depth: int = DEFAULT_DEPTH) -> NonnegRe
             # termwise positive for alpha >= 1: nonnegative for every n
             return NonnegResult("nonneg_certified")
         return NonnegResult("negative_witness", _negative_witness(c, depth), depth)
-    total: Scalar = RationalScalar(Fraction(0))
-    for n, w in zip(range(depth + 1), c.weights()):
-        total = scalar_add(total, w)
-        res = scalar_sign(total)
-        if not res.resolved:
-            raise AbortUnresolved(n, res.width)
-        if res.sign < 0:
+    sums = _partial_sums(c)
+    end = c.support_end()
+    for n in range(depth + 1):
+        if n:
+            sums.push(1)
+        if sums.sign(n) < 0:
             return NonnegResult("negative_witness", _negative_witness(c, depth), depth)
-        end = c.support_end()
         if end is not None and n >= end:
             return NonnegResult("nonneg_certified")
     return NonnegResult("unknown", None, depth)
@@ -756,8 +722,8 @@ def _negative_witness(c, depth) -> Fraction:
     """A point t with f(t) < 0: the smallest minimizer, or its dyadic approximant.
 
     The value is certified through `_extremum_value`, so an exact location of
-    a Geometric sequence is evaluated in closed form by `eval_periodic`
-    rather than summed term by term.
+    a rational or algebraic Geometric sequence is evaluated in closed form by
+    `eval_periodic` rather than summed term by term.
     """
     trace = _build_trace(c, "min", "sharp", depth)
     loc = Location.from_trace(trace)

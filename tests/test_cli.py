@@ -108,6 +108,19 @@ def test_unresolved_interval_exit(monkeypatch, capsys):
     assert "unresolved" in err
 
 
+def test_narrow_interval_alpha_exits_unresolved(monkeypatch, capsys):
+    # the locations are exact, but the default value width is narrower than
+    # alpha = -3/2 +- 10^-9 allows
+    from takagi import scalars as sc
+
+    alpha = sc.interval(F(-3, 2) - F(1, 10**9), F(-3, 2) + F(1, 10**9))
+    monkeypatch.setattr(cli, "parse_alpha", lambda text: alpha)
+    for cmd in ("maximize", "minimize"):
+        code, _, err = run(capsys, cmd, "--alpha", "x")
+        assert code == cli.EXIT_UNRESOLVED == 2
+        assert "unresolved" in err
+
+
 def test_littlewood_scan_json(capsys):
     code, out, _ = run(capsys, "littlewood", "scan", "--max-degree", "5")
     assert code == 0

@@ -85,6 +85,15 @@ def test_gcd_and_squarefree():
     assert len(roots) == 2
 
 
+def test_has_root_is_the_gcd_zero_test():
+    # sqrt2 in (7/5, 3/2): x^4 - 4 shares it with x^2 - 2, x^2 + 2 does not
+    sq, bracket = (-2, 0, 1), (14, 15, 10)
+    assert ip.has_root(ip.poly_gcd(sq, (-4, 0, 0, 0, 1)), bracket)
+    assert not ip.has_root(ip.poly_gcd(sq, (2, 0, 1)), bracket)
+    assert not ip.has_root((3,), bracket)  # a constant gcd has no root
+    assert not ip.has_root((-2, 1), bracket)  # x - 2: no sign change across the bracket
+
+
 def test_sturm_count_against_sympy():
     rng = random.Random(4)
     x = sympy.Symbol("x")

@@ -231,6 +231,62 @@ def test_interval_alpha_aborts():
     assert (info.value.index, info.value.width) == (3, F(29811, 1000000))
 
 
+NEAR_HALF = sc.interval(F(1, 2) - F(1, 10**60), F(1, 2) + F(1, 10**60))
+NEAR_MINUS_3_2 = sc.interval(F(-3, 2) - F(1, 10**9), F(-3, 2) + F(1, 10**9))
+
+
+def _refinable_half(bits: int):
+    return F(1, 2) - F(1, 2**bits), F(1, 2) + F(1, 2**bits)
+
+
+@pytest.mark.parametrize(
+    "alpha", [NEAR_HALF, sc.interval(*_refinable_half(20), _refinable_half)], ids=["narrow", "refinable"]
+)
+def test_interval_alpha_sums_are_flat_bounds(alpha):
+    # an interval sum is enclosed once and keeps no refinement hook, so a
+    # sign query never re-walks the weights; the phase limits at alpha = 1/2
+    # are exactly 0 and straddle at every width
+    tr = se.build_rho(geometric(alpha), "sharp", 40)
+    assert tr.partial_sums[0] == sc.RationalScalar(F(1))
+    assert len(tr.partial_sums) == 41
+    for s in tr.partial_sums[1:]:
+        assert isinstance(s, sc.IntervalScalar) and s.refine_fn is None
+
+
+def test_interval_first_coefficient_aborts():
+    # S_1 = c_0 - 1 straddles 0: the coefficients are too coarse to decide
+    c = ev.FiniteSupport([sc.interval(F(99, 100), F(101, 100)), F(1, 2), F(1, 4)])
+    with pytest.raises(se.AbortUnresolved) as info:
+        se.build_rho(c, "sharp", 8)
+    assert (info.value.index, info.value.width) == (1, F(1, 50))
+
+
+def test_interval_alpha_extrema_at_exact_locations():
+    # alpha = -3/2 +- 10^-9: the recursion certifies the exact locations of
+    # alpha = -3/2, and their values are series enclosures, not closed forms
+    c = geometric(NEAR_MINUS_3_2)
+    width = F(1, 10**6)
+    r = se.classify_extrema(c, "max", value_width=width)
+    assert r.locations == (F(19, 40), F(21, 40))
+    exact = ev.eval_periodic(geometric(F(-3, 2)), F(19, 40)).value
+    assert r.value_lo <= exact <= r.value_hi
+    r = se.classify_extrema(c, "min", value_width=width)
+    assert r.locations == (F(1, 5), F(4, 5))
+    assert r.value_lo <= F(-8, 35) <= r.value_hi
+    res = se.nonneg_check(c)
+    assert (res.status, res.witness) == ("negative_witness", F(1, 5))
+    # the default 10^-15 is narrower than alpha's own interval allows
+    with pytest.raises(sc.PrecisionError):
+        se.classify_extrema(c, "max")
+
+
+def test_interval_alpha_signs_pass_the_step_check():
+    c = geometric(NEAR_MINUS_3_2)
+    tr = se.build_rho(c, "sharp", 64)
+    assert tr.certified
+    assert se.check_step_condition(c, tr.signs, 64) == se.StepCheckResult("holds")
+
+
 # ---------------------------------------------------------------------------
 # nonneg_check
 
