@@ -10,7 +10,11 @@ digit sequences.
 One walker, `_residues`, follows the doubling orbit in integer residues
 (`_orbit` finds its period); one kernel, `_periodic_bounds` over the rounded
 prefix `_dyadic_prefix_bounds`, sums c_m against an eventually periodic
-factor, be it tent values or the Rademacher form's (1 - rho_m A_m)/4.
+factor, be it tent values or the Rademacher form's (1 - rho_m A_m)/4.  The
+factors reach the rounded prefix as integer numerators over one denominator
+(t's for tents, 4 (2^p - 1) 2^(start+p) or a power of two for Rademacher
+factors), and its two sums are integers over 2^bits: one floor division
+per term, and no Fraction built per term.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, cycle, islice, repeat
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import intpoly, scalars
@@ -248,19 +253,14 @@ class PowerSquared(CoefficientSequence):
         return 2
 
     def residue_tail_enclosures(self, m0: int, p: int) -> list[tuple[Fraction, Fraction]]:
-        # Euler-Maclaurin for g(k) = 1/(a+pk)^2 through the B_4 term; the
-        # remainder is bounded by |g'''(0)|/720 = p^3/(30 a^5)
+        # Euler-Maclaurin for g(k) = 1/(a+pk)^2 through the B_4 term,
+        # 1/(pa) + 1/(2a^2) + p/(6a^3) - p^3/(30a^5) over one denominator
+        # 30pa^5; the remainder is bounded by |g'''(0)|/720 = p^3/(30 a^5)
         out = []
-        for j in range(p):
-            a = m0 + j + 1
-            center = (
-                Fraction(1, p * a)
-                + Fraction(1, 2 * a**2)
-                + Fraction(p, 6 * a**3)
-                - Fraction(p**3, 30 * a**5)
-            )
-            rad = Fraction(p**3, 30 * a**5)
-            out.append((center - rad, center + rad))
+        for a in range(m0 + 1, m0 + p + 1):
+            hi = 30 * a**4 + 15 * p * a**3 + 5 * p**2 * a**2
+            den = 30 * p * a**5
+            out.append((Fraction(hi - 2 * p**4, den), Fraction(hi, den)))
         return out
 
     def __repr__(self) -> str:
@@ -359,10 +359,16 @@ def _orbit(t: Fraction, limit: int | None = None) -> tuple[list[int], int | None
         seen[r] = len(seen)
 
 
+def _tent_numerators(t: Fraction, residues: Iterable[int]) -> Iterator[int]:
+    """den * tent(2^m t) for the residues r_m of t = num/den."""
+    den = t.denominator
+    return (min(r, den - r) for r in residues)
+
+
 def _tents(t: Fraction, residues: Iterable[int]) -> Iterator[Fraction]:
     """tent(2^m t) for the residues r_m of t."""
     den = t.denominator
-    return (Fraction(min(r, den - r), den) for r in residues)
+    return (Fraction(f, den) for f in _tent_numerators(t, residues))
 
 
 def _exact_sum(factors: Iterable[Fraction], coefficients: Iterator[Scalar]) -> Scalar:
@@ -381,12 +387,6 @@ def _rational_ratio(c: CoefficientSequence) -> Fraction | None:
     return None
 
 
-def _tent_numerators(t: Fraction, residues: Iterable[int]) -> list[int]:
-    """den * tent(2^m t) for the residues r_m of t = num/den."""
-    den = t.denominator
-    return [min(r, den - r) for r in residues]
-
-
 def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
     """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t.
 
@@ -397,7 +397,7 @@ def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
     residues = islice(_residues(t), n + 1)
     x = _rational_ratio(c)
     if x is not None:
-        return RationalScalar(intpoly.eval_fraction(_tent_numerators(t, residues), x) / t.denominator)
+        return RationalScalar(intpoly.eval_fraction(list(_tent_numerators(t, residues)), x) / t.denominator)
     return _exact_sum(_tents(t, residues), c.coefficients())
 
 
@@ -418,7 +418,7 @@ def eval_periodic(c: Geometric, t) -> Scalar:
         return eval_series(c, t, Fraction(1, 2**96))
     x = _rational_ratio(c)
     if x is not None:
-        tents = _tent_numerators(t, residues)
+        tents = list(_tent_numerators(t, residues))
         p = len(tents) - s
         q = tents[:]
         for m in range(s):
@@ -433,42 +433,40 @@ def eval_periodic(c: Geometric, t) -> Scalar:
     return total
 
 
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
-
-
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
-
-
 def _dyadic_prefix_bounds(
-    c: CoefficientSequence, factors: Iterable[tuple[Fraction, Fraction]], n: int, width: Fraction
+    c: CoefficientSequence, factors: Iterable[tuple[int, int]], den: int, n: int, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Enclosure of sum_{m<=n} c_m F_m from enclosures 0 <= lo <= F_m <= hi of F_0, ..., F_n.
+    """Enclosure of sum_{m<=n} c_m F_m from integer enclosures 0 <= lo <= den F_m <= hi.
 
-    Terms are rounded outward to dyadics, so denominators stay bounded.
+    Each term is rounded outward to a multiple of 2^-bits by one floor (or
+    ceiling) division of integer products, and both sums are kept as integers
+    over 2^bits.  The floor of an unreduced ratio is that of the reduced one,
+    so the bounds are those of rounding every rational term c_m F_m.
     """
     bits = _bits_for(width / (2 * (n + 2)))
-    lo = hi = Fraction(0)
+    eps = Fraction(1, 1 << bits)
+    lo = hi = 0
     for (flo, fhi), cm in zip(islice(factors, n + 1), c.coefficients()):
         if not fhi:
             continue
         if isinstance(cm, RationalScalar):
             clo = chi = cm.value
         else:
-            clo, chi = scalar_enclosure(cm, Fraction(1, 2**bits))
+            clo, chi = scalar_enclosure(cm, eps)
         # with F_m >= 0 the sign of a coefficient bound picks the factor
         # bound, and no two long products are compared
-        lo += _round_down(clo * (flo if clo >= 0 else fhi), bits)
-        hi += _round_up(chi * (fhi if chi >= 0 else flo), bits)
-    return lo, hi
+        num = clo.numerator
+        lo += (num * (flo if num >= 0 else fhi) << bits) // (clo.denominator * den)
+        num = chi.numerator
+        hi -= (-num * (fhi if num >= 0 else flo) << bits) // (chi.denominator * den)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
 def _bits_for(width: Fraction) -> int:
-    b = 1
-    while Fraction(1, 2**b) > width:
-        b += 1
-    return b + 2
+    """2 + the least b >= 1 with 2^-b <= width."""
+    if width <= 0:
+        raise DomainError("width %s is not positive" % width)
+    return 2 + max(1, (-(-width.denominator // width.numerator) - 1).bit_length())
 
 
 _DIRECT_TERM_CAP = 512
@@ -485,14 +483,14 @@ def _tail_index(c: CoefficientSequence, bound: Fraction, cap: int) -> int | None
 
 
 def _rounded_bounds(
-    c: CoefficientSequence, factors: Iterable[tuple[Fraction, Fraction]], width: Fraction
+    c: CoefficientSequence, factors: Iterable[tuple[int, int]], den: int, width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Rounded prefix sum up to the first n with tail_bound(n) <= width/2,
-    plus that tail times max F = 1/2."""
+    plus that tail times max F = 1/2; factors as in `_dyadic_prefix_bounds`."""
     n = _tail_index(c, width / 2, _DYADIC_TERM_CAP)
     if n is None:
         raise DomainError("tail bound too weak for width %s" % width)
-    lo, hi = _dyadic_prefix_bounds(c, factors, n, width / 2)
+    lo, hi = _dyadic_prefix_bounds(c, factors, den, n, width / 2)
     tail = c.tail_bound(n) / 2
     return lo - tail, hi + tail
 
@@ -511,7 +509,8 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
             return _periodic_bounds(c, list(_tents(t, residues)), start, width)
     # without residue-class tails, or without a period within the cap, the
     # rounded prefix needs only its n + 1 tents and never walks the period
-    return _rounded_bounds(c, ((f, f) for f in _tents(t, _residues(t))), width)
+    pairs = ((f, f) for f in _tent_numerators(t, _residues(t)))
+    return _rounded_bounds(c, pairs, t.denominator, width)
 
 
 def _periodic_bounds(
@@ -520,26 +519,33 @@ def _periodic_bounds(
     """Enclosure of width <= width of sum_m c_m F_m for exact factors 0 <= F_m <= 1/2.
 
     F_m = factors[m] for m < len(factors); from `start` on F is periodic with
-    period p = len(factors) - start.  A sequence with residue-class tail
-    enclosures is summed against one period; any other gets a rounded prefix
-    plus its l1 tail bound times max F = 1/2.
+    period p = len(factors) - start.  The factors are read once as integer
+    numerators over their common denominator.  A sequence with residue-class
+    tail enclosures is summed against one period; any other gets a rounded
+    prefix plus its l1 tail bound times max F = 1/2.
     """
+    den = lcm(*(f.denominator for f in factors))
+    nums = [f.numerator * (den // f.denominator) for f in factors]
     half = width / 2
-    block = factors[start:]
+    bound = half * den
+    block = nums[start:]
     p = len(block)
-    pairs = ((f, f) for f in chain(factors, cycle(block)))
+    pairs = ((f, f) for f in chain(nums, cycle(block)))
     m0 = start
     for _ in range(80):
         encl = c.residue_tail_enclosures(m0, p)
         if encl is None:
             break
-        if sum(f * (hi - lo) for f, (lo, hi) in zip(block, encl)) <= half:
-            lo, hi = _dyadic_prefix_bounds(c, pairs, m0 - 1, half)
-            lo += sum(f * elo for f, (elo, _) in zip(block, encl))
-            hi += sum(f * ehi for f, (_, ehi) in zip(block, encl))
+        # every width f_j (hi_j - lo_j) is >= 0: the first partial sum past
+        # the bound fails the round
+        widths = accumulate(f * (hi - lo) for f, (lo, hi) in zip(block, encl))
+        if all(w <= bound for w in widths):
+            lo, hi = _dyadic_prefix_bounds(c, pairs, den, m0 - 1, half)
+            lo += Fraction(sum(f * elo for f, (elo, _) in zip(block, encl)), den)
+            hi += Fraction(sum(f * ehi for f, (_, ehi) in zip(block, encl)), den)
             return lo, hi
         m0 += p * max(1, m0 // p)
-    return _rounded_bounds(c, pairs, width)
+    return _rounded_bounds(c, pairs, den, width)
 
 
 def eval_series(c: CoefficientSequence, t, target_width) -> IntervalScalar:
@@ -621,25 +627,36 @@ def rademacher_of(t) -> list[SignSequence]:
     return [SignSequence(rho, (start, rho[start:]))]
 
 
-def _rademacher_factors(rho: SignSequence) -> list[Fraction]:
-    """(1 - rho_m A_m)/4 with A_m = sum_{k>=1} 2^-k rho_{m+k}, by A_m = (rho_{m+1} + A_{m+1})/2.
+def _rademacher_numerators(rho: SignSequence) -> tuple[list[int], int]:
+    """Integer numerators over one denominator of (1 - rho_m A_m)/4, A_m = sum_{k>=1} 2^-k rho_{m+k}.
 
-    Periodic rho: exact for m < start + p (seed A_{start+p} = A_start), equal
-    to tent(2^m T(rho)).  Prefix of length L: m < L - 1 (seed A_{L-1} = 0,
-    so A_m is off by at most 2^-(L-1-m)).
+    A_m = (rho_{m+1} + A_{m+1})/2, walked as the integer A_m D with D = (2^p - 1)
+    2^(start+p) for a periodic rho (seed A_{start+p} = A_start), exact for
+    m < start + p and equal to tent(2^m T(rho)); or D = 2^(L-1) for a prefix
+    of length L, m < L - 1 (seed A_{L-1} = 0, so A_m is off by at most
+    2^-(L-1-m)).  Every halving is exact, and the denominator is 4 D.
     """
-    signs, a = rho.prefix, Fraction(0)
+    signs, rep, a = rho.prefix, 1, 0
     if rho.period is not None:
         start, block = rho.period
         rep = (1 << len(block)) - 1
         # A_start = (sum_{k=1..p} 2^(p-k) rho_{start+k}) / (2^p - 1)
         signs = rho.take(start + len(block) + 1)
-        a = Fraction(rep - 2 * _bits_to_int(block[1:] + block[:1]), rep)
+        a = rep - 2 * _bits_to_int(block[1:] + block[:1])
+    last = max(len(signs) - 1, 0)
+    one = rep << last
+    a <<= last
     out = []
-    for m in range(len(signs) - 2, -1, -1):
-        a = (signs[m + 1] + a) / 2
-        out.append((1 - signs[m] * a) / 4)
-    return out[::-1]
+    for m in range(last - 1, -1, -1):
+        a = (signs[m + 1] * one + a) >> 1
+        out.append(one - signs[m] * a)
+    return out[::-1], 4 * one
+
+
+def _rademacher_factors(rho: SignSequence) -> list[Fraction]:
+    """(1 - rho_m A_m)/4 for a periodic rho, m < start + p, as Fractions."""
+    nums, den = _rademacher_numerators(rho)
+    return [Fraction(f, den) for f in nums]
 
 
 def eval_from_rademacher(c: CoefficientSequence, rho: SignSequence, target_width) -> IntervalScalar:
@@ -649,17 +666,15 @@ def eval_from_rademacher(c: CoefficientSequence, rho: SignSequence, target_width
     rho_{m+k}; must overlap eval_series at the same point.
     """
     width = Fraction(target_width)
-    factors = _rademacher_factors(rho)
     if rho.period is not None:
-        return IntervalScalar(*_periodic_bounds(c, factors, rho.period[0], width))
-    L = len(rho.prefix)
+        return IntervalScalar(*_periodic_bounds(c, _rademacher_factors(rho), rho.period[0], width))
+    nums, den = _rademacher_numerators(rho)
 
     def pairs():
-        # F_m is within 2^-(L+1-m) of factors[m], and never negative
-        for m, f in enumerate(factors):
-            err = Fraction(1, 2 ** (L + 1 - m))
-            yield max(f - err, 0), f + err
+        # F_m is within 2^m/den = 2^-(L+1-m) of nums[m]/den, and never negative
+        for m, f in enumerate(nums):
+            yield max(f - (1 << m), 0), f + (1 << m)
         # the sum needs a factor past the prefix
         raise InsufficientPrefixError("prefix too short for inner sums")
 
-    return IntervalScalar(*_rounded_bounds(c, pairs(), width))
+    return IntervalScalar(*_rounded_bounds(c, pairs(), den, width))

@@ -441,8 +441,10 @@ def _enclose(a: Scalar, width: Fraction) -> tuple[Fraction, Fraction]:
         bits = max(DEFAULT_PRECISION_BITS, _width_bits(width) + 8) << rounds
         nlo, nhi = cur.refine_fn(bits)
         nlo, nhi = max(cur.lo, nlo), min(cur.hi, nhi)
-        if nhi - nlo >= cur.hi - cur.lo:
-            return nlo, nhi  # refinement stalled (unrefinable base interval)
+        if 2 * (nhi - nlo) > cur.hi - cur.lo:
+            # each round asks for more bits than the last; one that does not
+            # halve the width has met a floor (an unrefinable base interval)
+            return nlo, nhi
         cur = IntervalScalar(nlo, nhi, cur.refine_fn)
         rounds += 1
     return cur.lo, cur.hi

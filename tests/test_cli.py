@@ -207,3 +207,24 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_eval_nonpositive_width_is_an_error(tmp_path, capsys):
+    # 600 coefficients outrun the direct sum, so width 0 reaches the rounded
+    # prefix, which cannot round to it
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(["1/%d" % (m + 1) ** 2 for m in range(600)]))
+    for seq in ("file:%s" % path, "power-squared"):
+        code, out, err = run(capsys, "eval", "--seq", seq, "--t", "1/3", "--width", "0")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
+
+
+def test_eval_short_finite_support_at_width_zero(tmp_path, capsys):
+    # a short support is summed exactly, so width 0 is within reach
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(["1", "1/2", "-1/4"]))
+    code, out, _ = run(capsys, "eval", "--seq", "file:%s" % path, "--t", "1/3", "--width", "0", "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert d["lo"] == d["hi"] == "0.416666666666666666666666666667"

@@ -1,5 +1,6 @@
 """Function evaluation, Rademacher expansions, and their round trips."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import islice
@@ -386,3 +387,99 @@ def test_rational_closed_forms_match_scalar_sums(alpha, t):
     block = sc.scalar_sub(_scalar_tent_sum(c, t, s + p), head)
     ratio = sc.scalar_inverse(sc.scalar_sub(F(1), c.coefficient(p)))
     assert ev.eval_periodic(c, t) == sc.scalar_add(head, sc.scalar_mul(block, ratio))
+
+
+def _oracle_prefix_bounds(c, factors, den, n, width):
+    """sum_{m<=n} c_m F_m for den F_m in [lo, hi], each term rounded outward
+    to 2^-bits in Fractions and then added."""
+    bits = 1
+    while F(1, 2**bits) > width / (2 * (n + 2)):
+        bits += 1
+    scale = 2 ** (bits + 2)
+    lo = hi = F(0)
+    for m, (flo, fhi) in zip(range(n + 1), factors):
+        clo, chi = sc.scalar_enclosure(c.coefficient(m), F(1, scale))
+        lo += F(math.floor(min(clo * F(flo, den), clo * F(fhi, den)) * scale), scale)
+        hi += F(math.ceil(max(chi * F(flo, den), chi * F(fhi, den)) * scale), scale)
+    return lo, hi
+
+
+def _tent_pairs(t, n):
+    """(q tent(2^m t), q tent(2^m t)) for m <= n, t = k/q, from the definition."""
+    out = []
+    for m in range(n + 1):
+        y = F(2**m) * t % 1
+        v = min(y, 1 - y) * t.denominator
+        out.append((int(v), int(v)))
+    return out
+
+
+KERNEL_SEQUENCES = [
+    ev.PowerSquared(),
+    geometric(F(199, 100)),
+    geometric(F(-39, 20)),
+    ev.FiniteSupport([F(1, 3), SQRT2, sc.scalar_neg(QUARTIC), 0, F(-5, 7), QUARTIC]),
+]
+
+prefix_pairs = st.lists(
+    st.one_of(
+        st.just((0, 0)),
+        st.tuples(st.integers(0, 2**20), st.integers(1, 2**12)).map(lambda p: (max(p[0] - p[1], 0), p[0] + p[1])),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(KERNEL_SEQUENCES),
+    st.one_of(
+        st.tuples(st.just("tents"), st.fractions(min_value=0, max_value=1, max_denominator=400), st.integers(0, 90)),
+        st.tuples(st.just("prefix"), prefix_pairs, st.integers(2, 40)),
+    ),
+    st.fractions(min_value=F(1, 10**15), max_value=1),
+)
+def test_rounded_prefix_kernel_matches_per_term_oracle(c, case, width):
+    kind, a, b = case
+    if kind == "tents":
+        factors, den, n = _tent_pairs(a, b), a.denominator, b
+    else:
+        factors, den, n = a, 2**b, len(a) - 1
+    assert ev._dyadic_prefix_bounds(c, iter(factors), den, n, width) == _oracle_prefix_bounds(
+        c, factors, den, n, width
+    )
+
+
+def test_rounded_prefix_needs_a_positive_width():
+    # the residue-tail round of t = 1/2 meets an all-zero block at once
+    with pytest.raises(ev.DomainError):
+        ev.eval_series(ev.PowerSquared(), F(1, 2), 0)
+    with pytest.raises(ev.DomainError):
+        ev._dyadic_prefix_bounds(ev.PowerSquared(), iter([(1, 1)]), 3, 0, F(-1, 8))
+
+
+# `takagi eval --seq power-squared --format json`, as first printed by the
+# Fraction-per-term kernel
+POWER_SQUARED_EVAL_JSON = {
+    "11/37": '{\n "t": "11/37",\n "lo": "0.497243051139865009977729008922",\n'
+    ' "hi": "0.497243051140322748704470441923",\n "exact": null\n}\n',
+    "5/59": '{\n "t": "5/59",\n "lo": "0.249798711092055159218611138303",\n'
+    ' "hi": "0.249798711092368532271435671845",\n "exact": null\n}\n',
+    "100/399": '{\n "t": "100/399",\n "lo": "0.406085339056069937720410325181",\n'
+    ' "hi": "0.406085339056122515777326550555",\n "exact": null\n}\n',
+}
+
+
+@pytest.mark.parametrize("t", sorted(POWER_SQUARED_EVAL_JSON))
+def test_power_squared_eval_json_is_pinned(t, capsys):
+    from takagi import cli
+
+    assert cli.main(["eval", "--seq", "power-squared", "--t", t, "--format", "json"]) == 0
+    assert capsys.readouterr().out == POWER_SQUARED_EVAL_JSON[t]
+
+
+def test_empty_and_one_sign_prefixes_are_insufficient():
+    for signs in ((), (1,)):
+        with pytest.raises(ev.InsufficientPrefixError):
+            ev.eval_from_rademacher(ev.PowerSquared(), ev.SignSequence(signs), F(1, 8))

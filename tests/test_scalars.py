@@ -375,3 +375,22 @@ def test_integer_vec_mul_matches_fraction_product(poly, data):
     assert sc._vec_mul(tuple(a), tuple(b), poly) == _fraction_vec_mul(a, b, poly)
     long = data.draw(st.lists(small_fractions, min_size=0, max_size=2 * n + 2))
     assert sc._reduce_vec(*sc._clear_denominators(tuple(long)), poly) == _fraction_reduce(long, poly)
+
+
+def test_unreachable_width_ends_after_a_round_that_does_not_halve():
+    # r = 1/3 +- 2^-20 refines to any width, but the hook-less summand
+    # [0, 10^-30] cannot: 10^-40 is out of reach, and the second round,
+    # which narrows only by 2^-264, ends the refinement
+    calls = []
+
+    def hook(bits):
+        calls.append(bits)
+        return F(1, 3) - F(1, 2**bits), F(1, 3) + F(1, 2**bits)
+
+    r = sc.interval(F(1, 3) - F(1, 2**20), F(1, 3) + F(1, 2**20), hook)
+    total = sc.scalar_add(sc.interval(0, F(1, 10**30)), r)
+    with pytest.raises(sc.PrecisionError):
+        sc.scalar_enclosure(total, F(1, 10**40))
+    assert len(calls) == 2
+    lo, hi = sc.scalar_enclosure(total, F(1, 10**29))
+    assert hi - lo <= F(1, 10**29) and len(calls) == 3
