@@ -483,6 +483,10 @@ _OPTIONS = {
     "--depth": dict(type=int, default=step_engine.DEFAULT_DEPTH),
     "--format": dict(choices=["json", "csv", "pretty"], default="pretty"),
     "--jobs": dict(type=int, default=1),
+    "--max-degree": dict(type=int, default=12),
+    "--bins": dict(type=int, default=200),
+    "--out-dir": dict(default="figures"),
+    "--points": dict(type=int, default=1999),
 }
 
 
@@ -522,9 +526,7 @@ def build_parser() -> _Parser:
     lp = sub.add_parser("littlewood")
     lsub = lp.add_subparsers(dest="subcommand", required=True)
     p = lsub.add_parser("scan")
-    _add_options(p, "--jobs")
-    p.add_argument("--max-degree", type=int, default=12)
-    p.add_argument("--bins", type=int, default=200)
+    _add_options(p, "--jobs", "--max-degree", "--bins")
     p.add_argument("--out", help="CSV path for per-root records")
     p.set_defaults(func=cmd_littlewood_scan)
     p = lsub.add_parser("steproots")
@@ -532,19 +534,17 @@ def build_parser() -> _Parser:
     p.add_argument("--max-degree", type=int, default=10)
     p.set_defaults(func=cmd_littlewood_steproots)
     p = lsub.add_parser("gaps")
-    _add_options(p, "--jobs")
-    p.add_argument("--max-degree", type=int, default=12)
+    _add_options(p, "--jobs", "--max-degree")
     p.add_argument("--resolution", default="1/100")
     p.set_defaults(func=cmd_littlewood_gaps)
 
-    p = sub.add_parser("figure")
-    _add_options(p, "--depth", "--jobs")
-    p.add_argument("which", choices=["1", "2", "3", "4"])
-    p.add_argument("--out-dir", default="figures")
-    p.add_argument("--points", type=int, default=1999)
-    p.add_argument("--max-degree", type=int, default=12)
-    p.add_argument("--bins", type=int, default=200)
-    p.set_defaults(func=cmd_figure)
+    fsub = sub.add_parser("figure").add_subparsers(dest="which", required=True)
+    # every figure takes --out-dir, and each the options its branch reads
+    figures = {"1": ("--depth", "--points"), "2": ("--depth",), "3": (), "4": ("--max-degree", "--bins", "--jobs")}
+    for which, names in figures.items():
+        p = fsub.add_parser(which)
+        _add_options(p, "--out-dir", *names)
+        p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("selftest")
     p.set_defaults(func=cmd_selftest)

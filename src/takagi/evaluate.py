@@ -8,13 +8,15 @@ elsewhere, and converts between points in [0, 1] and their +-1 Rademacher
 digit sequences.
 
 One walker, `_residues`, follows the doubling orbit in integer residues
-(`_orbit` finds its period); one kernel, `_periodic_bounds` over the rounded
-prefix `_dyadic_prefix_bounds`, sums c_m against an eventually periodic
-factor, be it tent values or the Rademacher form's (1 - rho_m A_m)/4.  The
-factors reach the rounded prefix as integer numerators over one denominator
-(t's for tents, 4 (2^p - 1) 2^(start+p) or a power of two for Rademacher
-factors), and its two sums are integers over 2^bits: one floor division
-per term, and no Fraction built per term.
+(`_orbit` finds its period).  An exact Geometric sum, over a rational or
+algebraic alpha, has one closed form: the integer polynomial of the tent
+numerators evaluated at alpha/2 (`eval_truncated`, `eval_periodic`).  One
+kernel, `_periodic_bounds` over the rounded prefix `_dyadic_prefix_bounds`,
+encloses c_m summed against an eventually periodic factor, be it tent values
+or the Rademacher form's (1 - rho_m A_m)/4.  The factors reach it as integer
+numerators over one denominator (t's for tents, 4 (2^p - 1) 2^(start+p) or a
+power of two for Rademacher factors), and its two sums are integers over
+2^bits: one floor division per term, and no Fraction built per term.
 """
 
 from __future__ import annotations
@@ -23,20 +25,21 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, cycle, islice, repeat
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from . import intpoly, scalars
+from . import scalars
 from .scalars import (
     IntervalScalar,
     RationalScalar,
     Scalar,
+    eval_int_poly,
     scalar_add,
+    scalar_div,
     scalar_enclosure,
-    scalar_inverse,
     scalar_mul,
     scalar_pow,
     scalar_sign,
+    scalar_sub,
 )
 
 ORBIT_CAP = 10**6
@@ -204,7 +207,7 @@ class Geometric(CoefficientSequence):
         self.alpha = scalars._as_scalar(alpha)
         if scalar_sign(scalar_add(self.alpha, Fraction(2))).sign != 1:
             raise DomainError("alpha must exceed -2")
-        if scalar_sign(scalars.scalar_sub(Fraction(2), self.alpha)).sign != 1:
+        if scalar_sign(scalar_sub(Fraction(2), self.alpha)).sign != 1:
             raise DomainError("alpha must be below 2")
         self._ratio = scalar_mul(self.alpha, Fraction(1, 2))
 
@@ -365,72 +368,58 @@ def _tent_numerators(t: Fraction, residues: Iterable[int]) -> Iterator[int]:
     return (min(r, den - r) for r in residues)
 
 
-def _tents(t: Fraction, residues: Iterable[int]) -> Iterator[Fraction]:
-    """tent(2^m t) for the residues r_m of t."""
-    den = t.denominator
-    return (Fraction(f, den) for f in _tent_numerators(t, residues))
-
-
-def _exact_sum(factors: Iterable[Fraction], coefficients: Iterator[Scalar]) -> Scalar:
-    """Exact sum of c_m F_m, one term per factor."""
-    total: Scalar = RationalScalar(Fraction(0))
-    for f, cm in zip(factors, coefficients):
-        if f:
-            total = scalar_add(total, scalar_mul(cm, f))
-    return total
-
-
-def _rational_ratio(c: CoefficientSequence) -> Fraction | None:
-    """alpha/2 for a Geometric sequence with a rational alpha, else None."""
-    if isinstance(c, Geometric) and isinstance(c.alpha, RationalScalar):
-        return c.alpha.value / 2
-    return None
+def _exact_geometric(c: CoefficientSequence) -> bool:
+    """Whether c is a Geometric sequence over a rational or algebraic alpha."""
+    return isinstance(c, Geometric) and not isinstance(c.alpha, IntervalScalar)
 
 
 def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
     """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t.
 
-    For a rational Geometric sequence this is T(alpha/2)/den for the integer
-    polynomial T of the tent numerators, one Horner pass.
+    For a Geometric sequence over a rational or algebraic alpha this is
+    T(alpha/2)/den for the integer polynomial T of the tent numerators, one
+    Horner pass; any other sequence is summed one Scalar term at a time.
     """
     t = _check_unit_interval(t)
-    residues = islice(_residues(t), n + 1)
-    x = _rational_ratio(c)
-    if x is not None:
-        return RationalScalar(intpoly.eval_fraction(list(_tent_numerators(t, residues)), x) / t.denominator)
-    return _exact_sum(_tents(t, residues), c.coefficients())
+    tents = list(_tent_numerators(t, islice(_residues(t), n + 1)))
+    if _exact_geometric(c):
+        return scalar_div(eval_int_poly(tents, c._ratio), t.denominator)
+    total: Scalar = RationalScalar(Fraction(0))
+    for f, cm in zip(tents, c.coefficients()):
+        if f:
+            total = scalar_add(total, scalar_mul(cm, Fraction(f, t.denominator)))
+    return total
 
 
 def eval_periodic(c: Geometric, t) -> Scalar:
     """Exact closed-form value of a Takagi-Landsberg function at rational t.
 
-    Splits the doubling orbit of t into preperiod and period and sums the
-    periodic part as a geometric series in (alpha/2)^p.  For a rational
-    alpha, with x = alpha/2 and the tent numerators T_m over den, the value
-    is Q(x)/(den (1 - x^p)) for the one integer polynomial
-    Q = T - x^p T_{<s}: a Horner pass instead of a Fraction sum per term.
+    Splits the doubling orbit of t into preperiod s and period p and sums the
+    periodic part as a geometric series in (alpha/2)^p.  With x = alpha/2 and
+    the tent numerators T_m over den, the value is Q(x)/(den (1 - x^p)) for
+    the one integer polynomial Q = T - x^p T_{<s}: a Horner pass for a
+    rational or algebraic alpha.  Where only T_0 is nonzero (t in {0, 1/2,
+    1}) the value is the rational T_0/den.  An interval alpha, and an orbit
+    with no period within ORBIT_CAP, get an `eval_series` enclosure of width
+    2^-96.
     """
     t = _check_unit_interval(t)
     if not isinstance(c, Geometric):
         raise TypeError("eval_periodic requires a Geometric sequence")
     residues, s = _orbit(t, ORBIT_CAP)
-    if s is None:
+    tents = list(_tent_numerators(t, residues))
+    if not any(tents[1:]):
+        return RationalScalar(Fraction(tents[0], t.denominator))
+    if s is None or not _exact_geometric(c):
         return eval_series(c, t, Fraction(1, 2**96))
-    x = _rational_ratio(c)
-    if x is not None:
-        tents = list(_tent_numerators(t, residues))
-        p = len(tents) - s
-        q = tents[:]
-        for m in range(s):
-            q[m + p] -= tents[m]
-        return RationalScalar(intpoly.eval_fraction(q, x) / (t.denominator * (1 - x**p)))
-    phis = list(_tents(t, residues))
-    total = _exact_sum(phis[:s], c.coefficients())
-    block = _exact_sum(phis[s:], c.coefficients())
-    if scalar_sign(block).sign != 0:
-        geom = scalar_inverse(scalars.scalar_sub(Fraction(1), c.coefficient(len(phis) - s)))
-        total = scalar_add(total, scalar_mul(scalar_mul(c.coefficient(s), block), geom))
-    return total
+    p = len(tents) - s
+    q = tents[:]
+    for m in range(s):
+        q[m + p] -= tents[m]
+    # den (1 - x^p) as the integer polynomial den - den y at y = x^p: for a
+    # rational alpha one Fraction, where Scalar difference and product build three
+    den = eval_int_poly([t.denominator, -t.denominator], scalar_pow(c._ratio, p))
+    return scalar_div(eval_int_poly(q, c._ratio), den)
 
 
 def _dyadic_prefix_bounds(
@@ -506,7 +495,7 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
     if type(c).residue_tail_enclosures is not CoefficientSequence.residue_tail_enclosures:
         residues, start = _orbit(t, ORBIT_CAP)
         if start is not None:
-            return _periodic_bounds(c, list(_tents(t, residues)), start, width)
+            return _periodic_bounds(c, list(_tent_numerators(t, residues)), t.denominator, start, width)
     # without residue-class tails, or without a period within the cap, the
     # rounded prefix needs only its n + 1 tents and never walks the period
     pairs = ((f, f) for f in _tent_numerators(t, _residues(t)))
@@ -514,18 +503,16 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
 
 
 def _periodic_bounds(
-    c: CoefficientSequence, factors: list[Fraction], start: int, width: Fraction
+    c: CoefficientSequence, nums: list[int], den: int, start: int, width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Enclosure of width <= width of sum_m c_m F_m for exact factors 0 <= F_m <= 1/2.
 
-    F_m = factors[m] for m < len(factors); from `start` on F is periodic with
-    period p = len(factors) - start.  The factors are read once as integer
-    numerators over their common denominator.  A sequence with residue-class
-    tail enclosures is summed against one period; any other gets a rounded
-    prefix plus its l1 tail bound times max F = 1/2.
+    F_m = nums[m]/den for m < len(nums); from `start` on F is periodic with
+    period p = len(nums) - start.  A sequence with residue-class tail
+    enclosures is summed against one period; any other gets a rounded prefix
+    plus its l1 tail bound times max F = 1/2.  Scaling nums and den together
+    moves no floor and no tail test, so the bounds depend on the factors only.
     """
-    den = lcm(*(f.denominator for f in factors))
-    nums = [f.numerator * (den // f.denominator) for f in factors]
     half = width / 2
     bound = half * den
     block = nums[start:]
@@ -653,12 +640,6 @@ def _rademacher_numerators(rho: SignSequence) -> tuple[list[int], int]:
     return out[::-1], 4 * one
 
 
-def _rademacher_factors(rho: SignSequence) -> list[Fraction]:
-    """(1 - rho_m A_m)/4 for a periodic rho, m < start + p, as Fractions."""
-    nums, den = _rademacher_numerators(rho)
-    return [Fraction(f, den) for f in nums]
-
-
 def eval_from_rademacher(c: CoefficientSequence, rho: SignSequence, target_width) -> IntervalScalar:
     """Enclosure of f(T(rho)) computed from the expansion alone.
 
@@ -666,9 +647,9 @@ def eval_from_rademacher(c: CoefficientSequence, rho: SignSequence, target_width
     rho_{m+k}; must overlap eval_series at the same point.
     """
     width = Fraction(target_width)
-    if rho.period is not None:
-        return IntervalScalar(*_periodic_bounds(c, _rademacher_factors(rho), rho.period[0], width))
     nums, den = _rademacher_numerators(rho)
+    if rho.period is not None:
+        return IntervalScalar(*_periodic_bounds(c, nums, den, rho.period[0], width))
 
     def pairs():
         # F_m is within 2^m/den = 2^-(L+1-m) of nums[m]/den, and never negative

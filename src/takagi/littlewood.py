@@ -271,7 +271,6 @@ def _scan_chunk(args) -> ScanSummary:
 
 def scan(
     max_degree: int,
-    step_roots_only: bool = False,
     jobs: int = 1,
     bins: int = 200,
     collect_roots: bool = False,
@@ -302,8 +301,6 @@ def scan(
         with multiprocessing.Pool(jobs) as pool:
             for part in pool.imap_unordered(_scan_chunk, tasks, chunksize=1):
                 summary.merge(part)
-    if step_roots_only:
-        summary.roots_seen = [r for r in summary.roots_seen if r[3]]
     summary.roots_seen.sort()
     return summary
 

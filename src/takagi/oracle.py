@@ -113,18 +113,6 @@ def covers(intervals, t: Fraction) -> bool:
     return any(a <= t <= b for a, b in intervals)
 
 
-def write_grid_csv(coeffs: Sequence[Fraction], n: int, path: str) -> None:
-    """Dump (t, f_n(t)) over D_{n+1} for external plotting."""
-    import csv
-
-    h = Fraction(1, 1 << (n + 1))
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "f"])
-        for k, v in enumerate(_grid_values(coeffs, n)):
-            w.writerow([str(k * h), str(v)])
-
-
 def slope(coeffs: Sequence[Fraction], rho_prefix: Sequence[int], n: int) -> Fraction:
     """Slope sum_{m<=n} 2^m c_m rho_m, asserted against the difference quotient.
 

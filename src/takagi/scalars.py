@@ -608,8 +608,10 @@ def eval_int_poly(p: Sequence[int], a) -> Scalar:
 def scalar_pow(a, n: int) -> Scalar:
     if n < 0:
         return scalar_inverse(scalar_pow(a, -n))
-    out: Scalar = RationalScalar(Fraction(1))
     base = _as_scalar(a)
+    if isinstance(base, RationalScalar):
+        return RationalScalar(base.value**n)
+    out: Scalar = RationalScalar(Fraction(1))
     while n:
         if n & 1:
             out = scalar_mul(out, base)

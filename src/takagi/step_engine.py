@@ -42,9 +42,9 @@ from itertools import islice, zip_longest
 from . import intpoly, scalars
 from .evaluate import (
     CoefficientSequence,
-    Geometric,
     SignSequence,
     T_map,
+    _exact_geometric,
     eval_periodic,
     eval_series,
     t_map_fraction,
@@ -321,11 +321,6 @@ class _ScalarSums(list):
         one_minus = scalar_sub(Fraction(1), scalar_pow(self.alpha, p))
         d = scalar_sub(self[i + p], self[i])
         return scalar_sign(scalar_add(scalar_mul(self[i], one_minus), d), 0).sign
-
-
-def _exact_geometric(c: CoefficientSequence) -> bool:
-    """Whether c is a Geometric sequence over a rational or algebraic alpha."""
-    return isinstance(c, Geometric) and not isinstance(c.alpha, IntervalScalar)
 
 
 def _partial_sums(c: CoefficientSequence):

@@ -92,9 +92,22 @@ def test_exit_codes(capsys):
 
 
 def test_unread_option_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["selftest", "--jobs", "2"])
-    assert exc.value.code == cli.EXIT_USAGE == 1
+    unread = [
+        ["selftest", "--jobs", "2"],
+        ["figure", "1", "--jobs", "2"],
+        ["figure", "1", "--bins", "3"],
+        ["figure", "2", "--points", "7"],
+        ["figure", "2", "--max-degree", "2"],
+        ["figure", "4", "--depth", "5"],
+        ["figure", "4", "--points", "7"],
+    ]
+    unread += [["figure", "3", name, value] for name, value in (
+        ("--points", "7"), ("--max-degree", "2"), ("--bins", "3"), ("--jobs", "4"), ("--depth", "5")
+    )]
+    for argv in unread:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE == 1, argv
 
 
 def test_unresolved_interval_exit(monkeypatch, capsys):

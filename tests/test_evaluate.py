@@ -192,13 +192,13 @@ signs = st.lists(st.sampled_from((-1, 1)), max_size=12)
 def test_rademacher_factors_are_tents(pre, block):
     # (1 - rho_m A_m)/4 = tent(2^m T(rho)), exactly, through two periods
     rho = ev.SignSequence(tuple(pre), (len(pre), tuple(block)))
-    factors = ev._rademacher_factors(rho)
+    nums, den = ev._rademacher_numerators(rho)
     t = ev.t_map_fraction(rho)
     start, p = len(pre), len(block)
-    assert len(factors) == start + p
+    assert len(nums) == start + p
     for m in range(start + 2 * p):
-        f = factors[m] if m < start + p else factors[m - p]
-        assert f == ev.tent(2**m * t)
+        f = nums[m] if m < start + p else nums[m - p]
+        assert F(f, den) == ev.tent(2**m * t)
 
 
 def test_three_routes_long_period():
@@ -359,7 +359,7 @@ def test_series_without_residue_tails_skips_the_orbit(monkeypatch):
     # within the cap the rounded prefix gives the bounds of the periodic kernel
     c, t, width = geometric(F(199, 100)), F(1, 37), F(1, 10**6)
     residues, start = orbit(t)
-    expected = ev._periodic_bounds(c, list(ev._tents(t, residues)), start, width)
+    expected = ev._periodic_bounds(c, list(ev._tent_numerators(t, residues)), t.denominator, start, width)
     assert ev._series_bounds(c, t, width) == expected
 
 
@@ -371,14 +371,8 @@ def _scalar_tent_sum(c, t, terms):
     return total
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.fractions(min_value=F(-79, 40), max_value=F(79, 40), max_denominator=40),
-    st.fractions(min_value=0, max_value=1, max_denominator=60),
-)
-def test_rational_closed_forms_match_scalar_sums(alpha, t):
-    c = ev.Geometric(sc.rational(alpha))
-    assert ev.eval_truncated(c, 12, t) == _scalar_tent_sum(c, t, 13)
+def _closed_forms_and_scalar_sums(c, t):
+    """(closed form, per-term Scalar sum) pairs for eval_truncated and eval_periodic."""
     # the periodic value against the preperiod plus the block summed as a
     # geometric series in Scalars
     residues, s = ev._orbit(t)
@@ -386,7 +380,49 @@ def test_rational_closed_forms_match_scalar_sums(alpha, t):
     head = _scalar_tent_sum(c, t, s)
     block = sc.scalar_sub(_scalar_tent_sum(c, t, s + p), head)
     ratio = sc.scalar_inverse(sc.scalar_sub(F(1), c.coefficient(p)))
-    assert ev.eval_periodic(c, t) == sc.scalar_add(head, sc.scalar_mul(block, ratio))
+    return [
+        (ev.eval_truncated(c, 12, t), _scalar_tent_sum(c, t, 13)),
+        (ev.eval_periodic(c, t), sc.scalar_add(head, sc.scalar_mul(block, ratio))),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fractions(min_value=F(-79, 40), max_value=F(79, 40), max_denominator=40),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+def test_rational_closed_forms_match_scalar_sums(alpha, t):
+    for got, want in _closed_forms_and_scalar_sums(ev.Geometric(sc.rational(alpha)), t):
+        assert got == want
+
+
+GOLDEN = sc.algebraic([-1, -1, 1], 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((SQRT2, sc.scalar_neg(SQRT2), GOLDEN, QUARTIC)),
+    st.fractions(min_value=0, max_value=1, max_denominator=40),
+)
+def test_algebraic_closed_forms_match_scalar_sums(alpha, t):
+    for got, want in _closed_forms_and_scalar_sums(ev.Geometric(alpha), t):
+        assert sc.scalar_eq(got, want)
+
+
+def test_eval_periodic_interval_alpha():
+    # an interval alpha gets the eval_series enclosure of width 2^-96: an
+    # unrefinable 1/2 +- 2^-40 cannot reach it, a refinable one can
+    e = F(1, 2**40)
+    with pytest.raises(sc.PrecisionError):
+        ev.eval_periodic(ev.Geometric(sc.interval(F(1, 2) - e, F(1, 2) + e)), F(1, 3))
+
+    def refine(bits):
+        w = F(1, 2**bits)
+        return F(1, 2) - w, F(1, 2) + w
+
+    got = ev.eval_periodic(ev.Geometric(sc.interval(F(1, 2) - e, F(1, 2) + e, refine)), F(1, 3))
+    exact = ev.eval_periodic(ev.Geometric(F(1, 2)), F(1, 3)).value
+    assert got.lo <= exact <= got.hi and got.hi - got.lo <= F(1, 2**96)
 
 
 def _oracle_prefix_bounds(c, factors, den, n, width):
