@@ -376,13 +376,14 @@ def _exact_geometric(c: CoefficientSequence) -> bool:
 def eval_truncated(c: CoefficientSequence, n: int, t) -> Scalar:
     """Exact value of f_n(t) = sum_{m<=n} c_m tent(2^m t) at rational t.
 
-    For a Geometric sequence over a rational or algebraic alpha this is
-    T(alpha/2)/den for the integer polynomial T of the tent numerators, one
-    Horner pass; any other sequence is summed one Scalar term at a time.
+    For a Geometric sequence this is T(alpha/2)/den for the integer
+    polynomial T of the tent numerators, one Horner pass (for an interval
+    alpha, one interval Horner with one refinement hook); any other sequence
+    is summed one Scalar term at a time.
     """
     t = _check_unit_interval(t)
     tents = list(_tent_numerators(t, islice(_residues(t), n + 1)))
-    if _exact_geometric(c):
+    if isinstance(c, Geometric):
         return scalar_div(eval_int_poly(tents, c._ratio), t.denominator)
     total: Scalar = RationalScalar(Fraction(0))
     for f, cm in zip(tents, c.coefficients()):

@@ -39,10 +39,6 @@ def degree(p: IntPoly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: IntPoly) -> bool:
-    return not p
-
-
 def neg(p: IntPoly) -> IntPoly:
     return tuple(-c for c in p)
 
@@ -50,10 +46,6 @@ def neg(p: IntPoly) -> IntPoly:
 def add(p: IntPoly, q: IntPoly) -> IntPoly:
     n = max(len(p), len(q))
     return normalize([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def sub(p: IntPoly, q: IntPoly) -> IntPoly:
-    return add(p, neg(q))
 
 
 def mul(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -65,12 +57,6 @@ def mul(p: IntPoly, q: IntPoly) -> IntPoly:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return normalize(out)
-
-
-def scale(p: IntPoly, k: int) -> IntPoly:
-    if k == 0:
-        return ()
-    return tuple(c * k for c in p)
 
 
 def derivative(p: IntPoly) -> IntPoly:

@@ -195,12 +195,24 @@ def _assert_value_in(report: ExtremaReport, value: Scalar, what: str) -> None:
         raise AssertionError("%s: closed form disagrees with engine enclosure" % what)
 
 
+def _decided(report: ExtremaReport) -> ExtremaReport:
+    """The engine's report, or PrecisionError where it left the cardinality unknown.
+
+    Every regime with a closed form has a decided answer, so an unknown one
+    means alpha is too coarse (an interval), not that the closed form fails.
+    """
+    if report.cardinality.kind == "unknown":
+        raise PrecisionError("extremizer cardinality unknown beyond depth %d" % report.cardinality.depth)
+    return report
+
+
 def maxima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
     """Global maximizers of f_alpha with certified cardinality and value.
 
     All regimes run through the step recursion engine; where a closed form
     exists (everywhere except (1/2, 1]) the engine result is asserted against
-    it, and against direct orbit evaluation.
+    it, and against direct orbit evaluation.  An engine answer left unknown
+    there raises PrecisionError.
     """
     alpha = scalars._as_scalar(alpha)
     regime = classify_alpha(alpha)
@@ -210,7 +222,7 @@ def maxima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
         run_depth = max(depth, need)
         if run_depth > _ENGINE_DEPTH_CAP:
             return _negsteep_report(alpha, c, regime, depth)
-        report = step_engine.classify_extrema(c, "max", run_depth)
+        report = _decided(step_engine.classify_extrema(c, "max", run_depth))
         n = regime.n
         if regime.boundary:
             expect = {t_location(n - 1), t_location(n)} if n >= 1 else None
@@ -224,6 +236,8 @@ def maxima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
             _assert_value_in(report, negsteep_max_value(alpha, n), "neg_steep maximum")
         return report
     report = step_engine.classify_extrema(c, "max", depth)
+    if regime.variant != CRITICAL:
+        _decided(report)
     if regime.variant == MIDDLE:
         if report.cardinality.count != 1 or report.smallest.exact != Fraction(1, 2):
             raise AssertionError("middle regime should have the unique maximizer 1/2")
@@ -276,7 +290,7 @@ def minima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
     alpha = scalars._as_scalar(alpha)
     classify_alpha(alpha)  # domain check
     c = Geometric(alpha)
-    report = step_engine.classify_extrema(c, "min", depth)
+    report = _decided(step_engine.classify_extrema(c, "min", depth))
     s1 = _sign_or_raise(scalar_add(alpha, 1), "alpha + 1")
     if s1 < 0:
         if report.cardinality.count != 2 or report.smallest.exact != Fraction(1, 5):

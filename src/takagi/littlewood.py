@@ -174,7 +174,7 @@ def real_roots(p: LittlewoodPoly, width: Fraction = ROOT_WIDTH) -> list[Scalar]:
         if A == B:
             out.append(RationalScalar(Fraction(A, D)))
         else:
-            out.append(AlgebraicScalar(sq, Fraction(A, D), Fraction(B, D), (Fraction(0), Fraction(1))))
+            out.append(AlgebraicScalar(sq, Fraction(A, D), Fraction(B, D), (0, 1), 1))
     return out
 
 
@@ -193,7 +193,7 @@ def is_step_root(p: LittlewoodPoly, root: Scalar) -> bool:
         x = root.value
         sq, bracket = p.coeffs, (x.numerator, x.numerator, x.denominator)
         on_root = intpoly.sign_at(p.coeffs, x) == 0
-    elif isinstance(root, AlgebraicScalar) and root.value == (Fraction(0), Fraction(1)):
+    elif isinstance(root, AlgebraicScalar) and root.is_base_root():
         sq, bracket = root.poly, intpoly.to_bracket(root.lo, root.hi)
         on_root = intpoly.has_root(intpoly.poly_gcd(root.poly, p.coeffs), bracket)
     else:

@@ -6,9 +6,12 @@ either exact or explicitly unresolved.  Three variants:
 * ``RationalScalar`` -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``AlgebraicScalar`` -- a value ``v(alpha)`` where ``alpha`` is the unique
   root of an integer polynomial inside an isolating interval and ``v`` is a
-  rational remainder polynomial.  Signs are decided exactly: zero by a
-  polynomial gcd test against the defining polynomial, nonzero by interval
-  refinement (which must terminate once zero is excluded).
+  remainder polynomial held in one integer form: numerators ``nums`` over
+  one positive denominator ``den``, reduced modulo the defining polynomial
+  and in lowest terms.  Every operation builds its result through
+  `_canonical`.  Signs are decided exactly: zero by a polynomial gcd test
+  against the defining polynomial, nonzero by interval refinement (which
+  must terminate once zero is excluded).
 * ``IntervalScalar`` -- a rational enclosure with an optional refinement hook;
   the only variant whose sign can come back unresolved.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Sequence, Union
 
 from . import intpoly
@@ -70,14 +74,26 @@ class RationalScalar:
 class AlgebraicScalar:
     """Value ``v(alpha)`` for the unique root ``alpha`` of ``poly`` in (lo, hi).
 
-    ``value`` holds the coefficients of ``v`` (ascending, degree < deg poly).
-    ``poly`` is primitive and squarefree; neither endpoint is a root.
+    ``v = V/den`` with ``nums`` the integer coefficients of V (ascending) and
+    ``den > 0``, canonical: V is reduced mod ``poly`` with no trailing zeros
+    (zero is ``()``) and gcd(den, V) = 1.  ``poly`` is primitive and
+    squarefree; neither endpoint is a root.
     """
 
     poly: IntPoly
     lo: Fraction
     hi: Fraction
-    value: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def value(self) -> tuple[Fraction, ...]:
+        """The coefficients of v as Fractions; zero is (0,)."""
+        return tuple(Fraction(x, self.den) for x in self.nums) or (Fraction(0),)
+
+    def is_base_root(self) -> bool:
+        """Whether v(alpha) is alpha itself, as an untransformed ``algebraic(...)`` is."""
+        return self.nums == (0, 1) and self.den == 1
 
     def base_key(self) -> tuple:
         return (self.poly, self.lo, self.hi)
@@ -116,6 +132,7 @@ def algebraic(poly: Sequence[int], lo, hi, value: Sequence[Fraction] | None = No
     """
     p = intpoly.squarefree_part(intpoly.normalize(poly))
     lo, hi = Fraction(lo), Fraction(hi)
+    nums, den = ((0, 1), 1) if value is None else _clear_denominators(tuple(map(Fraction, value)))
     if intpoly.degree(p) < 1:
         raise ValueError("algebraic: polynomial must have positive degree")
     if lo > hi:
@@ -123,20 +140,18 @@ def algebraic(poly: Sequence[int], lo, hi, value: Sequence[Fraction] | None = No
     if lo == hi:
         if intpoly.sign_at(p, lo) != 0:
             raise ValueError("algebraic: degenerate interval is not a root")
-        return _apply_value_rational(lo, value)
+        return _at_rational(lo, nums, den)
     if intpoly.degree(p) == 1:
         root = Fraction(-p[0], p[1])
         if not (lo < root < hi):
             raise ValueError("algebraic: linear polynomial has no root in interval")
-        return _apply_value_rational(root, value)
+        return _at_rational(root, nums, den)
     if intpoly.sign_at(p, lo) == 0 or intpoly.sign_at(p, hi) == 0:
         raise ValueError("algebraic: interval endpoint is a root")
     chain = intpoly.sturm_chain(p)
     if intpoly.count_roots(chain, lo, hi) != 1:
         raise ValueError("algebraic: interval does not isolate exactly one root")
-    if value is None:
-        return AlgebraicScalar(p, lo, hi, (Fraction(0), Fraction(1)))
-    return AlgebraicScalar(p, lo, hi, _reduce_vec(*_clear_denominators(tuple(map(Fraction, value))), p))
+    return _canonical(p, lo, hi, nums, den)
 
 
 def interval(lo, hi, refine_fn=None) -> IntervalScalar:
@@ -144,15 +159,6 @@ def interval(lo, hi, refine_fn=None) -> IntervalScalar:
     if lo > hi:
         raise ValueError("interval: lo > hi")
     return IntervalScalar(lo, hi, refine_fn)
-
-
-def _apply_value_rational(root: Fraction, value) -> RationalScalar:
-    if value is None:
-        return RationalScalar(root)
-    acc = Fraction(0)
-    for c in reversed(tuple(value)):
-        acc = acc * root + Fraction(c)
-    return RationalScalar(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +191,21 @@ def _reduce_int(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[list[int]
     return v, den
 
 
-def _reduce_vec(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[Fraction, ...]:
-    """The vector nums/den reduced mod the defining polynomial, as Fractions."""
+def _canonical(poly: IntPoly, lo: Fraction, hi: Fraction, nums: Sequence[int], den: int) -> AlgebraicScalar:
+    """The scalar nums/den at the root of `poly` in (lo, hi), reduced mod poly and in lowest terms."""
     v, den = _reduce_int(nums, den, poly)
-    return tuple(Fraction(x, den) for x in v) if v else (Fraction(0),)
+    g = math.gcd(den, *v)
+    return AlgebraicScalar(poly, lo, hi, tuple(x // g for x in v), den // g)
 
 
-def _vec_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    )
+def _combine(a: Sequence[int], s: int, b: Sequence[int], t: int) -> list[int]:
+    """The integer vector s a + t b."""
+    return [s * x + t * y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-def _vec_mul(a, b, poly):
-    (x, dx), (y, dy) = _clear_denominators(a), _clear_denominators(b)
-    return _reduce_vec(intpoly.mul(x, y), dx * dy, poly)
-
-
-def _vec_is_all_zero(a) -> bool:
-    return all(c == 0 for c in a)
+def _at_rational(x: Fraction, nums: Sequence[int], den: int) -> RationalScalar:
+    """The rational nums(x)/den."""
+    return RationalScalar(intpoly.eval_fraction(nums, x) / den)
 
 
 def _clear_denominators(vec: tuple[Fraction, ...]) -> tuple[IntPoly, int]:
@@ -228,10 +228,6 @@ class _Bisection:
         self.brackets = [intpoly.to_bracket(a.lo, a.hi)]
         self.sign_lo = intpoly.sign_at(a.poly, a.lo)
         self.root: Fraction | None = None
-        # v = V/L, evaluated by the integer kernel: scaling by the positive
-        # L * D^deg V keeps min and max, so the bounds are exactly those of
-        # Fraction interval Horner
-        self.v, self.lcm = _clear_denominators(a.value)
 
     def at(self, depth: int) -> tuple[int, int, int] | None:
         """Bracket (A, B, D) at `depth`, or None past a midpoint root."""
@@ -254,12 +250,15 @@ class _Bisection:
         Interval Horner is inclusion-monotone, so the enclosures are nested
         and their width never grows with depth.
         """
-        bracket = self.at(depth)
+        a, bracket = self.a, self.at(depth)
         if bracket is None:
-            r = _apply_value_rational(self.root, self.a.value).value
+            r = _at_rational(self.root, a.nums, a.den).value
             return r, r
-        vlo, vhi = intpoly.eval_interval_scaled(self.v, *bracket)
-        scale = self.lcm * bracket[2] ** max(intpoly.degree(self.v), 0)
+        # v = V/den by the integer kernel: scaling by the positive
+        # den * D^deg V keeps min and max, so the bounds are exactly those of
+        # Fraction interval Horner
+        vlo, vhi = intpoly.eval_interval_scaled(a.nums, *bracket)
+        scale = a.den * bracket[2] ** max(intpoly.degree(a.nums), 0)
         return Fraction(vlo, scale), Fraction(vhi, scale)
 
 
@@ -280,7 +279,7 @@ def _alg_sign(a: AlgebraicScalar) -> int:
         if hi < 0:
             return -1
         # v(alpha) = 0 exactly when gcd(poly, v) vanishes at alpha (v = 0 included)
-        if depth == 0 and intpoly.has_root(intpoly.poly_gcd(a.poly, walk.v), walk.brackets[0]):
+        if depth == 0 and intpoly.has_root(intpoly.poly_gcd(a.poly, a.nums), walk.brackets[0]):
             return 0
         depth = _next_depth(depth)
 
@@ -318,72 +317,39 @@ def _alg_localize(a: AlgebraicScalar, offender: IntPoly) -> AlgebraicScalar:
     if intpoly.has_root(g, intpoly.to_bracket(a.lo, a.hi)):
         raise ZeroDivisionError("scalar inverse of zero value")
     q = intpoly.squarefree_part(intpoly.exact_div(a.poly, g))
-    return AlgebraicScalar(q, a.lo, a.hi, _reduce_vec(*_clear_denominators(a.value), q))
-
-
-def _poly_egcd_q(a: list[Fraction], b: list[Fraction]):
-    """Extended gcd over Q[x] on dense ascending lists; returns (g, s) with
-    s*a = g mod b."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def q_divmod(f, g):
-        f = f[:]
-        q = [Fraction(0)] * max(1, len(f) - len(g) + 1)
-        while trim(f) and len(f) >= len(g):
-            c = f[-1] / g[-1]
-            k = len(f) - len(g)
-            q[k] += c
-            for i in range(len(g)):
-                f[k + i] -= c * g[i]
-            f.pop()
-        return q, f
-
-    r0, r1 = trim(a[:]), trim(b[:])
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while r1:
-        q, r = q_divmod(r0, r1)
-        r0, r1 = r1, trim(r)
-        qs = _qpoly_mul(q, s1)
-        s0, s1 = s1, trim(_qpoly_sub(s0, qs))
-    return r0, s0
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
+    return _canonical(q, a.lo, a.hi, a.nums, a.den)
 
 
 def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
-    cur = a
-    for _ in range(64):
-        if _vec_is_all_zero(cur.value):
-            raise ZeroDivisionError("scalar inverse of zero value")
-        v = list(cur.value)
-        q = [Fraction(c) for c in cur.poly]
-        g, s = _poly_egcd_q(v, q)
-        if len(g) == 1:
-            inv = tuple(c / g[0] for c in s)
-            return AlgebraicScalar(cur.poly, cur.lo, cur.hi, _reduce_vec(*_clear_denominators(inv), cur.poly))
-        cur = _alg_localize(cur, _clear_denominators(tuple(g))[0])
-    raise RuntimeError("algebraic inverse failed to localize")
+    """den/V at the root: X with V X = den mod poly, once V is coprime to poly.
+
+    poly is squarefree, so dropping its factor gcd(poly, V) (which must not
+    hold the root) leaves it coprime to V, and multiplication by V is
+    invertible mod what is left.  Column k of that map is V x^k mod poly,
+    W_k/e_k; the system sum_k Y_k W_k = den e_0, X_k = e_k Y_k, is solved
+    in integers by fraction-free (Bareiss) elimination, whose last pivot d
+    is +-det, so that d Y is an integer vector (Cramer).
+    """
+    a = _alg_localize(a, a.nums)
+    n = len(a.poly) - 1
+    rows = [[0] * n + [a.den if i == 0 else 0] for i in range(n)]
+    scales, v, e = [], a.nums, 1
+    for k in range(n):
+        for i, x in enumerate(v):
+            rows[i][k] = x
+        scales.append(e)
+        v, e = _reduce_int((0, *v), e, a.poly)
+    d = 1
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, n):
+            rows[i] = [(rows[k][k] * x - rows[i][k] * y) // d for x, y in zip(rows[i], rows[k])]
+        d = rows[k][k]
+    y = [0] * n
+    for i in reversed(range(n)):
+        y[i] = (d * rows[i][n] - sum(rows[i][j] * y[j] for j in range(i + 1, n))) // rows[i][i]
+    return _canonical(a.poly, a.lo, a.hi, [e * yk for e, yk in zip(scales, y)], d)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +375,7 @@ def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
     if not intpoly.has_root(g, intpoly.to_bracket(a.lo, a.hi)):
         return None
     g = intpoly.squarefree_part(g)
-    return (
-        AlgebraicScalar(g, a.lo, a.hi, _reduce_vec(*_clear_denominators(a.value), g)),
-        AlgebraicScalar(g, b.lo, b.hi, _reduce_vec(*_clear_denominators(b.value), g)),
-    )
+    return _canonical(g, a.lo, a.hi, a.nums, a.den), _canonical(g, b.lo, b.hi, b.nums, b.den)
 
 
 def _as_scalar(x) -> Scalar:
@@ -462,14 +425,15 @@ def scalar_add(a, b) -> Scalar:
     if isinstance(a, RationalScalar) and isinstance(b, RationalScalar):
         return RationalScalar(a.value + b.value)
     if isinstance(a, AlgebraicScalar) and isinstance(b, RationalScalar):
-        return AlgebraicScalar(a.poly, a.lo, a.hi, _vec_add(a.value, (b.value,)))
+        p, q = b.value.numerator, b.value.denominator
+        return _canonical(a.poly, a.lo, a.hi, _combine(a.nums, q, (p,), a.den), a.den * q)
     if isinstance(a, RationalScalar) and isinstance(b, AlgebraicScalar):
         return scalar_add(b, a)
     if isinstance(a, AlgebraicScalar) and isinstance(b, AlgebraicScalar):
         unified = _try_unify(a, b)
         if unified is not None:
             ua, ub = unified
-            return AlgebraicScalar(ua.poly, ua.lo, ua.hi, _vec_add(ua.value, ub.value))
+            return _canonical(ua.poly, ua.lo, ua.hi, _combine(ua.nums, ub.den, ub.nums, ua.den), ua.den * ub.den)
 
     def fn(bits: int):
         w = Fraction(1, 2**bits)
@@ -486,7 +450,7 @@ def scalar_neg(a) -> Scalar:
     if isinstance(a, RationalScalar):
         return RationalScalar(-a.value)
     if isinstance(a, AlgebraicScalar):
-        return AlgebraicScalar(a.poly, a.lo, a.hi, tuple(-c for c in a.value))
+        return _canonical(a.poly, a.lo, a.hi, [-x for x in a.nums], a.den)
     fn = None
     if a.refine_fn is not None:
         inner = a.refine_fn
@@ -507,14 +471,15 @@ def scalar_mul(a, b) -> Scalar:
     if isinstance(a, RationalScalar) and isinstance(b, RationalScalar):
         return RationalScalar(a.value * b.value)
     if isinstance(a, AlgebraicScalar) and isinstance(b, RationalScalar):
-        return AlgebraicScalar(a.poly, a.lo, a.hi, tuple(c * b.value for c in a.value))
+        p, q = b.value.numerator, b.value.denominator
+        return _canonical(a.poly, a.lo, a.hi, [p * x for x in a.nums], a.den * q)
     if isinstance(a, RationalScalar) and isinstance(b, AlgebraicScalar):
         return scalar_mul(b, a)
     if isinstance(a, AlgebraicScalar) and isinstance(b, AlgebraicScalar):
         unified = _try_unify(a, b)
         if unified is not None:
             ua, ub = unified
-            return AlgebraicScalar(ua.poly, ua.lo, ua.hi, _vec_mul(ua.value, ub.value, ua.poly))
+            return _canonical(ua.poly, ua.lo, ua.hi, intpoly.mul(ua.nums, ub.nums), ua.den * ub.den)
 
     def fn(bits: int):
         w = Fraction(1, 2**bits)
@@ -536,7 +501,16 @@ def scalar_inverse(a) -> Scalar:
         return RationalScalar(1 / a.value)
     if isinstance(a, AlgebraicScalar):
         return _alg_inverse(a)
-    raise TypeError("scalar_inverse: interval scalars are not invertible exactly")
+    if a.lo <= 0 <= a.hi:
+        raise PrecisionError("scalar_inverse: interval [%s, %s] holds 0" % (a.lo, a.hi))
+    fn = None
+    if a.refine_fn is not None:
+
+        def fn(bits: int):
+            lo, hi = _enclose(a, Fraction(1, 2**bits))
+            return 1 / hi, 1 / lo
+
+    return IntervalScalar(1 / a.hi, 1 / a.lo, fn)
 
 
 def scalar_div(a, b) -> Scalar:
@@ -590,11 +564,11 @@ def eval_int_poly(p: Sequence[int], a) -> Scalar:
     if isinstance(a, RationalScalar):
         return RationalScalar(intpoly.eval_fraction(coeffs, a.value))
     if isinstance(a, AlgebraicScalar):
-        acc: tuple[Fraction, ...] = (Fraction(coeffs[-1]),)
+        acc = _canonical(a.poly, a.lo, a.hi, coeffs[-1:], 1)
         for c in reversed(coeffs[:-1]):
-            acc = _vec_mul(acc, a.value, a.poly)
-            acc = _vec_add(acc, (Fraction(c),))
-        return AlgebraicScalar(a.poly, a.lo, a.hi, acc)
+            den = acc.den * a.den
+            acc = _canonical(a.poly, a.lo, a.hi, _combine(intpoly.mul(acc.nums, a.nums), 1, (c,), den), den)
+        return acc
 
     def fn(bits: int):
         w = Fraction(1, 2**bits)
@@ -638,8 +612,8 @@ def refine(a, width) -> Scalar:
         # the first bisection bracket of width <= width, or the root if a midpoint hits it
         A, B, D = intpoly.refine_bracket(a.poly, intpoly.to_bracket(a.lo, a.hi), width)
         if A == B:
-            return _apply_value_rational(Fraction(A, D), a.value)
-        return AlgebraicScalar(a.poly, Fraction(A, D), Fraction(B, D), a.value)
+            return _at_rational(Fraction(A, D), a.nums, a.den)
+        return AlgebraicScalar(a.poly, Fraction(A, D), Fraction(B, D), a.nums, a.den)
     lo, hi = _enclose(a, width)
     return IntervalScalar(lo, hi, a.refine_fn)
 
@@ -657,11 +631,11 @@ def same_root(a, b) -> bool:
         a, b = b, a
     if isinstance(b, RationalScalar):
         assert isinstance(a, AlgebraicScalar)
-        if a.value != (Fraction(0), Fraction(1)):
+        if not a.is_base_root():
             raise ValueError("same_root expects plain base roots")
         return a.lo < b.value < a.hi and intpoly.sign_at(a.poly, b.value) == 0
     assert isinstance(a, AlgebraicScalar) and isinstance(b, AlgebraicScalar)
-    if a.value != (Fraction(0), Fraction(1)) or b.value != (Fraction(0), Fraction(1)):
+    if not (a.is_base_root() and b.is_base_root()):
         raise ValueError("same_root expects plain base roots")
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
@@ -710,7 +684,7 @@ def scalar_to_json(a) -> dict:
             "lo": _frac_str(a.lo),
             "hi": _frac_str(a.hi),
         }
-        if a.value != (Fraction(0), Fraction(1)):
+        if not a.is_base_root():
             out["value"] = [_frac_str(c) for c in a.value]
         return out
     return {

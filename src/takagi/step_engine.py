@@ -50,7 +50,6 @@ from .evaluate import (
     t_map_fraction,
 )
 from .scalars import (
-    AlgebraicScalar,
     IntervalScalar,
     RationalScalar,
     Scalar,
@@ -196,24 +195,25 @@ class _PrefixSums(Sequence):
     """Partial sums S_n = sum_{m<=n} rho_m alpha^m of a Geometric sequence, in integers.
 
     alpha is rational or algebraic: alpha = V(theta)/L for the root theta of
-    the squarefree `poly` in `bracket` (a rational a/q is V = a, L = q, poly
-    qx - a and the exact bracket (a, a, q)).  S_n = N_n(theta)/E_n with N_n
+    the squarefree `poly` in `bracket`, with V and L alpha's own `nums` and
+    `den` (a rational a/q is V = a, L = q, poly qx - a and the exact bracket
+    (a, a, q)).  S_n = N_n(theta)/E_n with N_n
     an integer vector reduced mod poly and E_n > 0; the power
     alpha^n = W_n(theta)/E_n is W_{n-1} V / (E_{n-1} L) reduced, one vector
     product a term, so N_n = f_n N_{n-1} + rho_n W_n with E_n = f_n E_{n-1}.
     Every sign is `intpoly.root_sign` of an integer vector on one bracket of
     theta, kept and narrowed for the object's life.  Indexing builds S_n as
-    the Scalar that summing the weights as Scalars gives.
+    the canonical Scalar, the one that summing the weights as Scalars gives.
     """
 
     def __init__(self, alpha: Scalar):
         self.alpha = alpha
         if isinstance(alpha, RationalScalar):
             a, q = alpha.value.numerator, alpha.value.denominator
-            self.poly, self.bracket, value = (-a, q), (a, a, q), (alpha.value,)
+            self.poly, self.bracket, self.v, self.l = (-a, q), (a, a, q), intpoly.normalize((a,)), q
         else:
-            self.poly, self.bracket, value = alpha.poly, intpoly.to_bracket(alpha.lo, alpha.hi), alpha.value
-        self.v, self.l = scalars._clear_denominators(value)
+            self.poly, self.bracket = alpha.poly, intpoly.to_bracket(alpha.lo, alpha.hi)
+            self.v, self.l = alpha.nums, alpha.den
         self.powers = [[1]]  # W_n
         self.nums = [[1]]  # N_n
         self.dens = [1]  # E_n
@@ -260,14 +260,10 @@ class _PrefixSums(Sequence):
         if isinstance(n, slice):
             return tuple(self[k] for k in range(*n.indices(len(self))))
         n = range(len(self))[n]
-        e = self.dens[n]
-        value = [Fraction(x, e) for x in self.nums[n]]
         if n == 0 or isinstance(self.alpha, RationalScalar):
-            return RationalScalar(value[0] if value else Fraction(0))
-        # the Scalar sum is as long as its longest term, alpha's own value
-        # (unreduced) included
-        value += [Fraction(0)] * (len(self.alpha.value) - len(value))
-        return AlgebraicScalar(self.alpha.poly, self.alpha.lo, self.alpha.hi, tuple(value))
+            nums = self.nums[n]
+            return RationalScalar(Fraction(nums[0] if nums else 0, self.dens[n]))
+        return scalars._canonical(self.alpha.poly, self.alpha.lo, self.alpha.hi, self.nums[n], self.dens[n])
 
 
 def _flat(s: Scalar, width: Fraction) -> Scalar:

@@ -81,6 +81,25 @@ def test_classify_alpha_unresolved_interval():
 
 
 
+def test_steep_interval_alpha_gets_a_report():
+    # the closed-form check divides by an interval: 1/(3(2 - alpha)) and the
+    # neg_steep value take interval reciprocals
+    for alpha, locations in ((F(-3, 2), (F(19, 40), F(21, 40))), (F(3, 2), (F(1, 3), F(2, 3)))):
+        r = lb.maxima(sc.interval(alpha - F(1, 10**40), alpha + F(1, 10**40)))
+        assert r.locations == locations and r.cardinality.count == 2
+
+
+def test_interval_alpha_without_a_decided_answer_is_unresolved():
+    # at 1/4 +- 10^-15 the engine leaves the cardinality unknown; at
+    # -7/4 +- 10^-15 the value cannot be enclosed to the report's width
+    near = sc.interval(F(1, 4) - F(1, 10**15), F(1, 4) + F(1, 10**15))
+    for extrema in (lb.maxima, lb.minima):
+        with pytest.raises(sc.PrecisionError):
+            extrema(near)
+    with pytest.raises(sc.PrecisionError):
+        lb.maxima(sc.interval(F(-7, 4) - F(1, 10**15), F(-7, 4) + F(1, 10**15)))
+
+
 def _linear_classify_n(alpha):
     """(n, boundary) by trying k = 1, 2, ... in turn: the reference for the search."""
     n, k = 0, 1

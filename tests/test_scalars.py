@@ -134,6 +134,32 @@ def test_inverse_with_reducible_defining_poly():
     assert sc.scalar_is_zero(sc.scalar_sub(sc.scalar_mul(shifted, inv), F(1)))
 
 
+def test_inverse_times_operand_is_one():
+    rng = random.Random(7)
+    for poly, lo, hi in (((1, -1, -1, -1, 1), F(1, 2), 1), ((-3, 1, 0, 0, 0, 7), F(1, 2), 1)):
+        theta = sc.algebraic(poly, lo, hi)
+        for _ in range(10):
+            v = sc.eval_int_poly([rng.randint(-9, 9) for _ in range(len(poly))], theta)
+            v = sc.scalar_div(v, rng.randint(1, 9))
+            if sc.scalar_is_zero(v):
+                continue
+            one = sc.scalar_mul(v, sc.scalar_inverse(v))
+            assert (one.nums, one.den) == ((1,), 1)
+
+
+def test_interval_inverse():
+    # 1/[2, 4] = [1/4, 1/2]; the hook re-encloses the operand, here 3 +- 2^-bits
+    iv = sc.interval(2, 4, lambda bits: (3 - F(1, 2**bits), 3 + F(1, 2**bits)))
+    inv = sc.scalar_inverse(iv)
+    assert (inv.lo, inv.hi) == (F(1, 4), F(1, 2))
+    lo, hi = sc.scalar_enclosure(inv, F(1, 2**100))
+    assert lo <= F(1, 3) <= hi
+    neg = sc.scalar_inverse(sc.interval(-4, -2))
+    assert (neg.lo, neg.hi, neg.refine_fn) == (F(-1, 2), F(-1, 4), None)
+    with pytest.raises(sc.PrecisionError):
+        sc.scalar_inverse(sc.interval(-1, 1))
+
+
 def test_mixed_base_operations_enclose():
     import mpmath
 
@@ -372,9 +398,13 @@ def test_integer_vec_mul_matches_fraction_product(poly, data):
     n = len(poly) - 1
     vecs = st.lists(small_fractions, min_size=1, max_size=n)
     a, b = data.draw(vecs), data.draw(vecs)
-    assert sc._vec_mul(tuple(a), tuple(b), poly) == _fraction_vec_mul(a, b, poly)
+
+    def canonical(vec):
+        return sc._canonical(poly, F(0), F(1), *sc._clear_denominators(tuple(vec)))
+
+    assert sc.scalar_mul(canonical(a), canonical(b)).value == _fraction_vec_mul(a, b, poly)
     long = data.draw(st.lists(small_fractions, min_size=0, max_size=2 * n + 2))
-    assert sc._reduce_vec(*sc._clear_denominators(tuple(long)), poly) == _fraction_reduce(long, poly)
+    assert canonical(long).value == _fraction_reduce(long, poly)
 
 
 def test_unreachable_width_ends_after_a_round_that_does_not_halve():

@@ -346,13 +346,13 @@ def test_engine_value_matches_grid_oracle():
 
 def test_algebraic_recursion_takes_one_product_per_weight(monkeypatch):
     calls = []
-    vec_mul = sc._vec_mul
+    reduce_int = sc._reduce_int
 
     def counted(*args):
         calls.append(args)
-        return vec_mul(*args)
+        return reduce_int(*args)
 
-    monkeypatch.setattr(sc, "_vec_mul", counted)
+    monkeypatch.setattr(sc, "_reduce_int", counted)
     se.classify_extrema(geometric(QUARTIC), "max", 48)
     assert len(calls) <= 4 * 48
 
