@@ -287,12 +287,8 @@ def cmd_littlewood_scan(args) -> int:
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["degree", "mask", "root", "is_step_root"])
-            for degree, mask in sorted({(d, m) for d, m, _mid, _s in summary.roots_seen}):
-                poly = littlewood.LittlewoodPoly.from_mask(degree, mask)
-                for root in littlewood.real_roots(poly, Fraction(1, 2**107)):
-                    w.writerow(
-                        [degree, mask, scalar_decimal(root, DIGITS), littlewood.is_step_root(poly, root)]
-                    )
+            for poly, root, step in littlewood.flagged_roots(summary.roots_seen, Fraction(1, 2**107)):
+                w.writerow([poly.degree, poly.mask(), scalar_decimal(root, DIGITS), step])
         _write_sidecar(args.out, args)
     return 0
 

@@ -11,15 +11,17 @@ Real roots live on integer brackets (A, B, D), the interval (A/D, B/D).  One
 walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
 them (`refine_bracket`) and decides the step property of a root against the
 prefixes of a coefficient tuple (`step_root_at`); `isolate_roots` is its
-Fraction-endpoint form.  The sign of any integer polynomial at such a root
-comes from one kernel, `root_sign`, which the step test and the step
-engine's recursion both call.  The `*_dyadic` names are the denominator-2^k
-cases of the scaled kernels.
+Fraction-endpoint form; `descartes_count` bounds a bracket's roots without
+a Sturm chain.  The sign of any integer polynomial at such a root comes from
+one kernel, `root_sign`, which the step test and the step engine's recursion
+both call.  The `*_dyadic` names are the denominator-2^k cases of the scaled
+kernels.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -322,10 +324,11 @@ def isolate_brackets(
 
 
 def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction) -> Bracket:
-    """Bisect an isolating bracket of p until it is at most `width` wide.
+    """Bisect a bracket of p until it is at most `width` wide.
 
-    A midpoint that is the root ends the bisection with the exact bracket
-    (M, M, D).
+    x is a simple root of p, the only root of p in the bracket, and neither
+    end is a root; p need not be squarefree.  A midpoint that is the root
+    ends the bisection with the exact bracket (M, M, D).
     """
     if width <= 0:
         raise ValueError("refine_bracket: width must be positive")
@@ -356,13 +359,14 @@ def has_root(g: IntPoly, bracket: Bracket) -> bool:
 
 
 def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[int, Bracket]:
-    """Sign of p(x) for the root x of the squarefree `sq` in `bracket`, and a bracket of x.
+    """Sign of p(x) for the root x of `sq` in `bracket`, and a bracket of x.
 
-    The sign comes from interval Horner over the bracket, which is refined as
-    p needs and never widened; the bracket returned is the one that decided,
-    so a caller that keeps it for its next query never refines twice.  Below
-    width 2^-64 an enclosure that still holds 0 gets the exact zero test once:
-    the gcd of p and `sq` vanishes at x.
+    x is a simple root of `sq` that `bracket` isolates, as for
+    `refine_bracket`.  The sign comes from interval Horner over the bracket,
+    which is refined as p needs and never widened; the bracket returned is
+    the one that decided, so a caller that keeps it for its next query never
+    refines twice.  Below width 2^-64 an enclosure that still holds 0 gets
+    the exact zero test once: the gcd of p and `sq` vanishes at x.
     """
     p = normalize(p)
     if not p:
@@ -387,20 +391,50 @@ def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[int, Bracket]:
         A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << shrink))
 
 
-def step_root_at(coeffs: IntPoly, sq: IntPoly, bracket: Bracket) -> bool:
-    """Whether c_{k+1} P_k(x) <= 0 for every proper prefix P_k of `coeffs`.
+def step_root_at(coeffs: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[bool, bool]:
+    """Step flags of the root x of `sq` in `bracket` (as for `root_sign`): P's and P(-x)'s.
 
-    x is the root of the squarefree `sq` in `bracket`.  The constant prefix
-    P_0 has the sign of c_0; every longer one is decided by `root_sign` on one
-    bracket that only narrows.
+    P's: c_{k+1} P_k(x) <= 0 for every proper prefix P_k of `coeffs`.  Since
+    P(-x)'s prefixes at -x are P's at x, its flag for -x is (-1)^{k+1}
+    c_{k+1} P_k(x) <= 0 for every k.  P_0 has the sign of c_0; each longer
+    prefix is `root_sign` on one bracket that only narrows.
     """
     s = (coeffs[0] > 0) - (coeffs[0] < 0)
+    step = mirror = True
     for j in range(1, len(coeffs)):
-        if coeffs[j] * s > 0:
-            return False
+        t = coeffs[j] * s
+        step = step and t <= 0
+        mirror = mirror and (t if j % 2 == 0 else -t) <= 0
+        if not (step or mirror):
+            break
         if j < len(coeffs) - 1:
             s, bracket = root_sign(coeffs[: j + 1], sq, bracket)
-    return True
+    return step, mirror
+
+
+def descartes_matrix(n: int, bracket: Bracket) -> list[IntPoly]:
+    """The matrix taking degree-n p to (D + D y)^n p((A + B y) / (D + D y)), as rows.
+
+    Column k is (A + B y)^k (D + D y)^(n - k); y > 0 is the bracket (A, B, D).
+    """
+    A, B, D = bracket
+    ups, downs = [(1,)], [(1,)]
+    for _ in range(n):
+        ups.append(mul(ups[-1], (A, B)))
+        downs.append(mul(downs[-1], (D, D)))
+    cols = [mul(ups[k], downs[n - k]) for k in range(n + 1)]
+    return [tuple(col[i] if i < len(col) else 0 for col in cols) for i in range(n + 1)]
+
+
+def descartes_count(p: IntPoly, matrix: list[IntPoly]) -> int:
+    """Sign variations of the transform of p by `descartes_matrix(deg p, bracket)`.
+
+    By Descartes' rule of signs this bounds the number of roots of p in the
+    open bracket, counted with multiplicity, and exceeds it by an even
+    number: 0 means no root there, and 1 exactly one simple root.
+    """
+    signs = [v > 0 for v in (sum(map(operator.mul, row, p)) for row in matrix) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def isolate_roots(

@@ -10,6 +10,10 @@ totals independent of worker count).  Root isolation, refinement and the step
 test are the integer bracket walker of `intpoly` (`isolate_brackets`,
 `refine_bracket`, `step_root_at`); `real_roots` and `is_step_root` use the
 same walker, so the scan and the public API decide every root the same way.
+The scan searches (1/2, 2) only: P(-x) is again normalized, so a root x of P
+there is also booked as the negative root -x of P(-x), with both step flags
+from one prefix walk.  Descartes' bound over (1/2, 2) skips a polynomial at
+0 and isolates its one root at 1; only a bound of 2 or more builds a Sturm chain.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from . import intpoly
 from .evaluate import BudgetError
-from .intpoly import IntPoly
 from .scalars import AlgebraicScalar, RationalScalar, Scalar
 
 NEG_LO, NEG_HI = Fraction(-2), Fraction(-1, 2)
@@ -28,6 +32,7 @@ POS_LO, POS_HI = Fraction(1, 2), Fraction(2)
 ROOT_WIDTH = Fraction(1, 2**40)
 _BIN_WIDTH = Fraction(1, 2**12)  # isolation width for binning inside the scan
 _ANNULUS = ((-4, -1, 2), (1, 4, 2))  # (-2, -1/2) and (1/2, 2) as brackets
+_POSITIVE = _ANNULUS[1]
 MAX_SCAN_DEGREE = 24
 
 
@@ -200,27 +205,11 @@ def is_step_root(p: LittlewoodPoly, root: Scalar) -> bool:
         raise ValueError("is_step_root expects a rational or a plain base root")
     if not on_root:
         raise ValueError("given scalar is not a root of the polynomial")
-    return intpoly.step_root_at(p.coeffs, sq, bracket)
+    return intpoly.step_root_at(p.coeffs, sq, bracket)[0]
 
 
 # ---------------------------------------------------------------------------
 # scan internals
-
-
-def _annulus_counts_recursive(p: IntPoly) -> tuple[int, int]:
-    """(negative, positive) annulus root counts of p, with multiplicity.
-
-    Distinct roots per level plus a recursion into gcd(p, p'): a root of
-    multiplicity m is seen once at each of m levels.
-    """
-    neg = pos = 0
-    while True:
-        chain = intpoly.sturm_chain(p)
-        neg += intpoly.count_roots(chain, NEG_LO, NEG_HI)
-        pos += intpoly.count_roots(chain, POS_LO, POS_HI)
-        if intpoly.degree(chain[-1]) < 1:
-            return neg, pos
-        p = chain[-1]
 
 
 def _scan_chunk(args) -> ScanSummary:
@@ -228,44 +217,42 @@ def _scan_chunk(args) -> ScanSummary:
     out = _empty_summary(degree, bins)
     neg_w = (NEG_HI - NEG_LO) / bins
     pos_w = (POS_HI - POS_LO) / bins
+    odd = sum(1 << j for j in range(0, degree, 2))  # mask ^ odd is the mask of P(-x)
+    matrix = intpoly.descartes_matrix(degree, _POSITIVE)
     for mask in range(mask_lo, mask_hi):
         coeffs = (1,) + tuple(-1 if (mask >> j) & 1 else 1 for j in range(degree))
-        sq, brackets, repeated = intpoly.isolate_brackets(coeffs, _ANNULUS)
-        if repeated is not None:
-            xneg, xpos = _annulus_counts_recursive(repeated)
-            out.neg_roots_with_multiplicity += xneg
-            out.pos_roots_with_multiplicity += xpos
-        if not brackets:
+        bound = intpoly.descartes_count(coeffs, matrix)
+        if bound == 0:
             continue
-        dcount = out.per_degree.setdefault(degree, [0, 0])
+        if bound == 1:  # one simple root, which the annulus isolates
+            sq, brackets, repeated = coeffs, [_POSITIVE], None
+        else:
+            sq, brackets, repeated = intpoly.isolate_brackets(coeffs, [_POSITIVE])
+        while repeated is not None:  # a root of multiplicity m is seen at m levels
+            chain = intpoly.sturm_chain(repeated)
+            out.pos_roots_with_multiplicity += intpoly.count_roots(chain, POS_LO, POS_HI)
+            repeated = chain[-1] if intpoly.degree(chain[-1]) >= 1 else None
         for bracket in brackets:
-            bracket = intpoly.refine_bracket(sq, bracket, _BIN_WIDTH)
-            A, B, D = bracket
+            A, B, D = bracket = intpoly.refine_bracket(sq, bracket, _BIN_WIDTH)
             mid = Fraction(A + B, 2 * D)
-            out.total_roots += 1
-            dcount[0] += 1
-            step = intpoly.step_root_at(coeffs, sq, bracket)
-            if step:
-                out.total_step_roots += 1
-                dcount[1] += 1
-            if mid < 0:
-                out.neg_roots += 1
-                out.neg_roots_with_multiplicity += 1
-                idx = min(int((mid - NEG_LO) / neg_w), bins - 1)
-                out.hist_neg_roots[idx] += 1
-                if step:
-                    out.neg_step_roots += 1
-                    out.hist_neg_steps[idx] += 1
-            else:
-                out.pos_roots += 1
-                out.pos_roots_with_multiplicity += 1
-                idx = min(int((mid - POS_LO) / pos_w), bins - 1)
-                out.hist_pos_roots[idx] += 1
-                if step:
-                    out.pos_step_roots += 1
-                    out.hist_pos_steps[idx] += 1
+            step, mirror = intpoly.step_root_at(coeffs, sq, bracket)
+            out.pos_roots += 1
+            out.pos_step_roots += step
+            out.neg_step_roots += mirror
+            idx = min(int((mid - POS_LO) / pos_w), bins - 1)
+            out.hist_pos_roots[idx] += 1
+            out.hist_pos_steps[idx] += step
+            idx = min(int((-mid - NEG_LO) / neg_w), bins - 1)
+            out.hist_neg_roots[idx] += 1
+            out.hist_neg_steps[idx] += mirror
             if collect:
-                out.roots_seen.append((degree, mask, float(mid), step))
+                out.roots_seen += [(degree, mask, float(mid), step), (degree, mask ^ odd, -float(mid), mirror)]
+    # every root of this chunk is also the negative root of the mirrored polynomial
+    out.pos_roots_with_multiplicity += out.pos_roots
+    out.neg_roots, out.neg_roots_with_multiplicity = out.pos_roots, out.pos_roots_with_multiplicity
+    out.total_roots, out.total_step_roots = 2 * out.pos_roots, out.pos_step_roots + out.neg_step_roots
+    if out.total_roots:
+        out.per_degree[degree] = [out.total_roots, out.total_step_roots]
     return out
 
 
@@ -278,7 +265,9 @@ def scan(
     """Count (step) roots of every Littlewood polynomial with rho_0 = +1.
 
     Enumerates all 2^n sign patterns per degree n in [1, max_degree]; each
-    distinct real root of each polynomial counts once.  Work is split into
+    distinct real root of each polynomial counts once.  Negative roots are
+    the mirrored positive ones, and the Sturm chain is skipped where
+    Descartes' bound is 0 or 1 (see the module docstring).  Work is split into
     contiguous mask ranges; merging is a plain sum, so totals do not depend
     on `jobs`.
     """
@@ -308,14 +297,19 @@ def scan(
 def step_root_records(max_degree: int, jobs: int = 1) -> list[RootRecord]:
     """Full RootRecords for every step root up to max_degree (exact scalars)."""
     summary = scan(max_degree, jobs=jobs, collect_roots=True)
-    with_steps = sorted({(d, m) for d, m, _mid, step in summary.roots_seen if step})
-    records = []
-    for degree, mask in with_steps:
+    with_steps = {r[:2] for r in summary.roots_seen if r[3]}
+    seen = [r for r in summary.roots_seen if r[:2] in with_steps]
+    return [RootRecord(poly, root, True, poly.degree) for poly, root, step in flagged_roots(seen) if step]
+
+
+def flagged_roots(roots_seen, width: Fraction = ROOT_WIDTH):
+    """(poly, root, is_step_root) per entry of a sorted `roots_seen`: `real_roots` at `width`,
+    left to right as the sorted midpoints are, with the scan's own step flag."""
+    for (degree, mask), group in groupby(roots_seen, key=lambda r: r[:2]):
         poly = LittlewoodPoly.from_mask(degree, mask)
-        for root in real_roots(poly):
-            if is_step_root(poly, root):
-                records.append(RootRecord(poly, root, True, degree))
-    return records
+        roots, flags = real_roots(poly, width), [r[3] for r in group]
+        assert len(roots) == len(flags), (degree, mask)
+        yield from ((poly, root, step) for root, step in zip(roots, flags))
 
 
 def closure_gap_report(

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from takagi import intpoly as ip
 
@@ -204,3 +206,30 @@ def test_isolate_roots_matches_fraction_bisection():
         nudged += ip.sign_at(p, (lo + hi) / 2) == 0
     assert nudged >= 2
     assert ip.isolate_roots((0, -2, -2), F(-7, 2), F(3, 2)) == [(F(-13, 8), F(-11, 16)), (F(-11, 16), F(1, 4))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=13),
+    st.integers(0, 6),
+    st.integers(-12, 12),
+    st.integers(1, 24),
+)
+def test_descartes_count_bounds_the_roots_in_a_bracket(coeffs, kbits, a, w):
+    # Descartes' rule on the bracket's transform: an upper bound on the roots
+    # counted with multiplicity, of the same parity; 0 and 1 are exact
+    p = ip.normalize(coeffs)
+    assume(ip.degree(p) >= 1)
+    A, B, D = a, a + w, 1 << kbits
+    sa, sb = ip.sign_at_scaled(p, A, D), ip.sign_at_scaled(p, B, D)
+    assume(sa != 0 and sb != 0)
+    count = ip.descartes_count(p, ip.descartes_matrix(ip.degree(p), (A, B, D)))
+    x = sympy.Symbol("x")
+    lo, hi = sympy.Rational(A, D), sympy.Rational(B, D)
+    with_multiplicity = len([r for r in sympy.Poly(list(reversed(p)), x).real_roots() if lo < r < hi])
+    assert count >= ip.count_roots(ip.sturm_chain(p), F(A, D), F(B, D))
+    assert count >= with_multiplicity and (count - with_multiplicity) % 2 == 0
+    if count == 0:
+        assert with_multiplicity == 0
+    if count == 1:
+        assert with_multiplicity == 1 and sa * sb < 0

@@ -1,5 +1,9 @@
 """Littlewood scans: root isolation, step roots, totals, determinism."""
 
+import dataclasses
+import functools
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -143,7 +147,7 @@ def test_fast_step_matches_public_api():
         deg = rng.randint(1, 9)
         p = lw.LittlewoodPoly.from_mask(deg, rng.randrange(1 << deg))
         sq, brackets, _repeated = ip.isolate_brackets(p.coeffs, lw._ANNULUS)
-        scan = [ip.step_root_at(p.coeffs, sq, ip.refine_bracket(sq, b, lw._BIN_WIDTH)) for b in brackets]
+        scan = [ip.step_root_at(p.coeffs, sq, ip.refine_bracket(sq, b, lw._BIN_WIDTH))[0] for b in brackets]
         roots = lw.real_roots(p)
         reference = [_scalar_step_reference(p, r) for r in roots]
         assert scan == reference == [lw.is_step_root(p, r) for r in roots], p
@@ -188,6 +192,96 @@ def test_scan_histogram_totals():
     s = lw.scan(7)
     assert sum(s.hist_neg_roots) + sum(s.hist_pos_roots) == s.total_roots
     assert sum(s.hist_neg_steps) + sum(s.hist_pos_steps) == s.total_step_roots
+
+
+@functools.lru_cache(maxsize=None)
+def _two_sided_roots(max_degree):
+    """Every root of every normalized polynomial of degree <= max_degree, tallied on both sides.
+
+    Both annuli of each polynomial are isolated by the Sturm walker and each
+    root is step-tested on its own: (degree, mask, midpoint, is_step) per
+    root, and the extra with-multiplicity counts of the repeated parts as
+    degree -> [negative, positive].
+    """
+    roots, extra = [], {}
+    for degree in range(1, max_degree + 1):
+        for mask in range(1 << degree):
+            coeffs = lw.LittlewoodPoly.from_mask(degree, mask).coeffs
+            sq, brackets, repeated = ip.isolate_brackets(coeffs, lw._ANNULUS)
+            while repeated is not None:  # a root of multiplicity m is seen at m levels
+                chain = ip.sturm_chain(repeated)
+                cur = extra.setdefault(degree, [0, 0])
+                cur[0] += ip.count_roots(chain, lw.NEG_LO, lw.NEG_HI)
+                cur[1] += ip.count_roots(chain, lw.POS_LO, lw.POS_HI)
+                repeated = chain[-1] if ip.degree(chain[-1]) >= 1 else None
+            for bracket in brackets:
+                A, B, D = ip.refine_bracket(sq, bracket, lw._BIN_WIDTH)
+                roots.append((degree, mask, F(A + B, 2 * D), ip.step_root_at(coeffs, sq, (A, B, D))[0]))
+    return roots, extra
+
+
+def _reference_scan(max_degree, bins):
+    roots, extra = _two_sided_roots(11)
+    out = lw._empty_summary(max_degree, bins)
+    for degree, (neg, pos) in extra.items():
+        if degree <= max_degree:
+            out.neg_roots_with_multiplicity += neg
+            out.pos_roots_with_multiplicity += pos
+    for degree, mask, mid, step in roots:
+        if degree > max_degree:
+            continue
+        side, lo, hi = ("neg", lw.NEG_LO, lw.NEG_HI) if mid < 0 else ("pos", lw.POS_LO, lw.POS_HI)
+        idx = min(int((mid - lo) / ((hi - lo) / bins)), bins - 1)
+        for name in ("total_roots", side + "_roots", side + "_roots_with_multiplicity"):
+            setattr(out, name, getattr(out, name) + 1)
+        getattr(out, "hist_%s_roots" % side)[idx] += 1
+        if step:
+            for name in ("total_step_roots", side + "_step_roots"):
+                setattr(out, name, getattr(out, name) + 1)
+            getattr(out, "hist_%s_steps" % side)[idx] += 1
+        cur = out.per_degree.setdefault(degree, [0, 0])
+        cur[0] += 1
+        cur[1] += step
+        out.roots_seen.append((degree, mask, float(mid), step))
+    out.roots_seen.sort()
+    return out
+
+
+@pytest.mark.parametrize(
+    "max_degree, bins, jobs",
+    [(d, 200, 1) for d in range(1, 12)] + [(11, 37, 1), (11, 200, 2), (11, 37, 2), (6, 37, 2)],
+)
+def test_mirrored_scan_matches_two_sided_tally(max_degree, bins, jobs):
+    # the scan searches (1/2, 2) only, mirrors each root onto P(-x) and skips
+    # the Sturm chain where Descartes' bound is 0 or 1; a tally that isolates
+    # both annuli of every polynomial gives every field the same
+    got = lw.scan(max_degree, jobs=jobs, bins=bins, collect_roots=True)
+    want = _reference_scan(max_degree, bins)
+    for f in dataclasses.fields(lw.ScanSummary):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def test_scan_12_digests():
+    # sha256 of scan(12) from the two-sided scan, before the mirror and the
+    # Descartes pre-test
+    s = lw.scan(12, collect_roots=True)
+    digest = hashlib.sha256(json.dumps(s.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "0299fbb97da8bf1fbb775e1a5cd209b0d1a9a7bb69acd0e46af41abbfb351722"
+    digest = hashlib.sha256(json.dumps(s.roots_seen).encode()).hexdigest()
+    assert digest == "8e8e0f750ff68b0e3cc7ad050ac703c5d17af157454f1cfdbaa58d5a03e245cb"
+
+
+def test_mirror_flag_is_the_step_test_of_the_mirrored_root():
+    # step_root_at's second flag is the step test of -x against P(-x)
+    rng = random.Random(13)
+    for _ in range(60):
+        deg = rng.randint(1, 10)
+        p = lw.LittlewoodPoly.from_mask(deg, rng.randrange(1 << deg))
+        q = lw.LittlewoodPoly(tuple(c if j % 2 == 0 else -c for j, c in enumerate(p.coeffs)))
+        sq, brackets, _ = ip.isolate_brackets(p.coeffs, lw._ANNULUS)
+        qsq, qbrackets, _ = ip.isolate_brackets(q.coeffs, lw._ANNULUS)
+        mirrored = [ip.step_root_at(q.coeffs, qsq, b)[0] for b in reversed(qbrackets)]
+        assert [ip.step_root_at(p.coeffs, sq, b)[1] for b in brackets] == mirrored, p
 
 
 def test_scan_budget_guard():
