@@ -555,7 +555,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (PrecisionError, step_engine.AbortUnresolved) as exc:
+    except PrecisionError as exc:
         print("unresolved precision: %s" % exc, file=sys.stderr)
         return EXIT_UNRESOLVED
     except (DomainError, ValueError, OSError) as exc:

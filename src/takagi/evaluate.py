@@ -21,6 +21,7 @@ power of two for Rademacher factors), and its two sums are integers over
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,7 +228,14 @@ class Geometric(CoefficientSequence):
         q = max(abs(lo), abs(hi))
         if q >= 1:
             raise DomainError("geometric ratio not inside (-1, 1)")
-        return q ** (n + 1) / (1 - q)
+        if not isinstance(self.alpha, IntervalScalar) or not q:
+            return q ** (n + 1) / (1 - q)
+        # an interval's q may have 256-bit terms, which the exact power repeats
+        # n times: round up to about 64 significant bits, finer than 1 - q so
+        # that the bound still falls with n
+        magnitude = math.ceil((n + 1) * (math.log2(q.denominator) - math.log2(q.numerator)))  # -log2 q^(n+1)
+        bits = 64 + scalars._width_bits(1 - q) + magnitude
+        return scalars._round(scalars._pow_rule(n + 1, bits, (q, q))[1] / (1 - q), bits, True)
 
     def geometric_ratio(self) -> Scalar:
         return self.alpha
@@ -237,7 +245,10 @@ class Geometric(CoefficientSequence):
 
 
 def _powers(x: Scalar) -> Iterator[Scalar]:
-    """1, x, x^2, ... as a running product: scalar_pow's exact values at one product a term."""
+    """1, x, x^2, ...: a running product, scalar_pow's exact values at one product
+    a term; for an interval x one `scalar_pow` node a term, not a chain of hooks."""
+    if isinstance(x, IntervalScalar):
+        return (scalar_pow(x, m) for m in count())
     return accumulate(repeat(x), scalar_mul, initial=RationalScalar(Fraction(1)))
 
 
@@ -479,7 +490,7 @@ def _rounded_bounds(
     plus that tail times max F = 1/2; factors as in `_dyadic_prefix_bounds`."""
     n = _tail_index(c, width / 2, _DYADIC_TERM_CAP)
     if n is None:
-        raise DomainError("tail bound too weak for width %s" % width)
+        raise DomainError("tail bound too weak for width %s" % scalars._show(width))
     lo, hi = _dyadic_prefix_bounds(c, factors, den, n, width / 2)
     tail = c.tail_bound(n) / 2
     return lo - tail, hi + tail

@@ -290,7 +290,8 @@ def isolate_brackets(
     distinct root, and neither of its endpoints is a root; brackets come in
     the order of the intervals, left to right within each.  The repeated
     part is the last member of p's own Sturm chain (its gcd with p', up to a
-    constant) when that has a root, else None.  A bracket is split at its
+    constant) when that has a root, else None; the squarefree part is p over
+    it, with no second gcd.  A bracket is split at its
     midpoint; a midpoint that is a root moves right by a quarter of the
     width, then by half of each previous move.
     """
@@ -298,7 +299,8 @@ def isolate_brackets(
     repeated = None
     if degree(chain[-1]) >= 1:
         repeated = chain[-1]
-        sq = squarefree_part(p)
+        g = repeated if repeated[-1] > 0 else neg(repeated)
+        sq = primitive(exact_div(chain[0], g))
         chain = sturm_chain(sq)
     else:
         sq = chain[0]
@@ -365,30 +367,27 @@ def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[int, Bracket]:
     `refine_bracket`.  The sign comes from interval Horner over the bracket,
     which is refined as p needs and never widened; the bracket returned is
     the one that decided, so a caller that keeps it for its next query never
-    refines twice.  Below width 2^-64 an enclosure that still holds 0 gets
-    the exact zero test once: the gcd of p and `sq` vanishes at x.
+    refines twice.  The bracket shrinks 2^5-fold a round until an enclosure
+    excludes 0.  The second enclosure that holds 0 gets the exact zero test,
+    once: the gcd of p and `sq` vanishes at x.  Not the first: a value that
+    straddles 0 there is mostly decided by one round, which costs less than
+    the gcd (the step engine's sign queries are such values).
     """
     p = normalize(p)
     if not p:
         return 0, bracket
     A, B, D = bracket
-    tested = False
+    straddles = 0
     while True:
         if A == B:
             return sign_at_scaled(p, A, D), (A, B, D)
         vlo, vhi = eval_interval_scaled(p, A, B, D)
         if vlo > 0 or vhi < 0:
             return (1 if vlo > 0 else -1), (A, B, D)
-        # shrink the bracket 2^5-fold; once it is below 2^-64, test for an
-        # exact zero first, and shrink 2^9-fold if there is none
-        shrink = 5
-        if (B - A) << 64 <= D:
-            if not tested:
-                if has_root(poly_gcd(sq, p), (A, B, D)):
-                    return 0, (A, B, D)
-                tested = True
-            shrink = 9
-        A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << shrink))
+        straddles += 1
+        if straddles == 2 and has_root(poly_gcd(sq, p), (A, B, D)):
+            return 0, (A, B, D)
+        A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << 5))
 
 
 def step_root_at(coeffs: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[bool, bool]:

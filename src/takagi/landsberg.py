@@ -21,8 +21,9 @@ evaluation on every call, so a disagreement raises instead of propagating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import step_engine
 from .evaluate import DomainError, Geometric, eval_periodic
@@ -108,7 +109,7 @@ def solve_alpha_n(n: int) -> Scalar:
 def _sign_or_raise(x, what: str) -> int:
     s = scalar_sign(x)
     if not s.resolved:
-        raise PrecisionError("%s unresolved (width %s)" % (what, s.width))
+        raise PrecisionError("%s unresolved (width %s)" % (what, scalars._show(s.width)))
     return s.sign
 
 
@@ -310,33 +311,39 @@ def minima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
 # the Tabor-Tabor closed form C(alpha)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    import mpmath
+def _tabor_bounds(alpha: Scalar, bits: int) -> tuple[Fraction, Fraction]:
+    """C(alpha) by decimal interval arithmetic, rounded outward to 2^-bits.
 
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
+    On (1/2, 1) every sign is known (0 < 2a - 1 < 1, ln a < 0, the exponent
+    e = 1 - ln 2 / ln a > 1), so each endpoint comes from fixed operand
+    endpoints: + - * / round toward it, and the correctly rounded ln and exp
+    are widened by one unit in the last place.  The digits cover ln a's
+    cancellation near 1.  Until alpha's enclosure lies inside (1/2, 1) the
+    bounds are the a priori [1/2, 1].
+    """
+    lo, hi = scalars._bounds_at(alpha, bits + 8)
+    if not Fraction(1, 2) < lo <= hi < 1:
+        return Fraction(1, 2), Fraction(1)
+    prec = (bits + scalars._width_bits(1 - hi)) * 30103 // 100000 + 12
+    dn, up = (Context(prec, rounding, Emin=MIN_EMIN, Emax=MAX_EMAX) for rounding in (ROUND_FLOOR, ROUND_CEILING))
 
+    def ln(x: Fraction, y: Fraction) -> tuple[Decimal, Decimal]:
+        """ln over [x, y], 0 < x <= y."""
+        x, y = dn.divide(x.numerator, x.denominator), up.divide(y.numerator, y.denominator)
+        return x.ln(dn).next_minus(dn), y.ln(up).next_plus(up)
 
-def _tabor_bounds(alpha, prec: int) -> tuple[Fraction, Fraction]:
-    # mpmath, about 4 MB resident, is imported by the one computation that uses it
-    import mpmath
-
-    lo, hi = scalar_enclosure(alpha, Fraction(1, 2 ** (prec + 8)))
-    old = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = prec
-        a_lo = mpmath.iv.mpf(lo.numerator) / lo.denominator
-        a_hi = mpmath.iv.mpf(hi.numerator) / hi.denominator
-        a = mpmath.iv.mpf([a_lo.a, a_hi.b])
-        base = 2 * a - 1
-        log2a = mpmath.iv.log(a) / mpmath.iv.log(2)
-        expo = (log2a - 1) / log2a
-        power = mpmath.iv.exp(expo * mpmath.iv.log(base))
-        cval = 1 / (2 - 2 * power)
-        return _mpf_to_fraction(cval.a), _mpf_to_fraction(cval.b)
-    finally:
-        mpmath.iv.prec = old
+    log_a, log_base, log2 = ln(lo, hi), ln(2 * lo - 1, 2 * hi - 1), ln(Fraction(2), Fraction(2))
+    if log_a[1] >= 0 or log_base[1] >= 0:
+        return Fraction(1, 2), Fraction(1)
+    # e = 1 + ln 2 / -ln a; the exponent e ln(2a - 1) < 0 is least at the largest e
+    e_lo = dn.add(1, dn.divide(log2[0], dn.minus(log_a[0])))
+    e_hi = up.add(1, up.divide(log2[1], up.minus(log_a[1])))
+    p_lo = dn.multiply(e_hi, log_base[0]).exp(dn).next_minus(dn)
+    p_hi = up.multiply(e_lo, log_base[1]).exp(up).next_plus(up)
+    # C = 1/(2 - 2p) grows with p in (0, 1/2)
+    c_lo = dn.divide(1, up.subtract(2, dn.multiply(2, p_lo)))
+    c_hi = up.divide(1, dn.subtract(2, up.multiply(2, p_hi)))
+    return scalars._outward(Fraction(c_lo), Fraction(c_hi), bits)
 
 
 def tabor_C(alpha, target_width=Fraction(1, 10**9)) -> Scalar:
@@ -344,7 +351,9 @@ def tabor_C(alpha, target_width=Fraction(1, 10**9)) -> Scalar:
 
     Defined on (1/2, 1); at a = 1 the printed exponent degenerates and the
     value is 2/3 by the classical case.  Equals the maximum of f_a exactly at
-    the positive roots of 1 - x - ... - x^n, and only there in general.
+    the positive roots of 1 - x - ... - x^n, and only there in general.  The
+    hook `_tabor_bounds` narrows the a priori bounds 1/2 < C(a) < 1 (p =
+    (2a-1)^e > 0, and e ln(2a-1) < -2a ln 2 gives p < 1/2) in `_enclose`.
     """
     alpha = scalars._as_scalar(alpha)
     if _sign_or_raise(scalar_sub(alpha, Fraction(1, 2)), "alpha - 1/2") <= 0:
@@ -354,19 +363,8 @@ def tabor_C(alpha, target_width=Fraction(1, 10**9)) -> Scalar:
         raise DomainError("C(alpha) defined on (1/2, 1]")
     if s1 == 0:
         return IntervalScalar(Fraction(2, 3), Fraction(2, 3))
-    width = Fraction(target_width)
-
-    def fn(bits: int):
-        return _tabor_bounds(alpha, max(bits, 64))
-
-    prec = 64
-    lo, hi = fn(prec)
-    while hi - lo > width and prec < 1 << 16:
-        prec *= 2
-        lo, hi = fn(prec)
-    if hi - lo > width:
-        raise PrecisionError("tabor_C enclosure stalled above width %s" % width)
-    return IntervalScalar(lo, hi, fn)
+    leaf = IntervalScalar(Fraction(1, 2), Fraction(1), partial(_tabor_bounds, alpha))
+    return IntervalScalar(*scalar_enclosure(leaf, target_width), leaf.refine_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,13 @@ either exact or explicitly unresolved.  Three variants:
   `_canonical`.  Signs are decided exactly: zero by a polynomial gcd test
   against the defining polynomial, nonzero by interval refinement (which
   must terminate once zero is excluded).
-* ``IntervalScalar`` -- a rational enclosure with an optional refinement hook;
-  the only variant whose sign can come back unresolved.
+* ``IntervalScalar`` -- a rational enclosure with an optional refinement hook
+  ``refine_fn(bits)``; the only variant whose sign can come back unresolved.
+
+Interval results are balls (van der Hoeven, "Ball arithmetic", 2009;
+Johansson, "Arb", IEEE Trans. Comput. 2017): one evaluator, `_ball`, of an
+endpoint rule, whose hook re-evaluates the rule once at a precision and
+rounds outward.  `_enclose` is the one loop that doubles the precision.
 
 All values are immutable; refinement returns new objects and never widens an
 enclosure.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 from typing import Callable, Sequence, Union
 
@@ -32,6 +38,9 @@ from .intpoly import IntPoly
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_DOUBLING_ROUNDS = 8
+
+_GUARD_BITS = 8
+_ENCLOSE_ROUNDS = 64
 
 _REFINE_STEP_LIMIT = 100_000
 
@@ -104,6 +113,9 @@ class AlgebraicScalar:
 
 @dataclass(frozen=True)
 class IntervalScalar:
+    """A value in [lo, hi]; ``refine_fn(bits)``, if any, encloses it to about
+    2^-bits with no loop (`_ball` makes it for an operation's result)."""
+
     lo: Fraction
     hi: Fraction
     refine_fn: Callable[[int], tuple[Fraction, Fraction]] | None = None
@@ -356,6 +368,14 @@ def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
 # generic operations
 
 
+def _show(x: Fraction) -> str:
+    """x for an error message: exact when short, else its power of two
+    (str() of a Fraction past 4,300 digits raises ValueError)."""
+    if abs(x.numerator).bit_length() + x.denominator.bit_length() <= 4000:
+        return str(x)
+    return "%s~2^%d" % ("-" if x < 0 else "", abs(x.numerator).bit_length() - x.denominator.bit_length())
+
+
 def _sign_of_fraction(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
@@ -384,33 +404,125 @@ def _as_scalar(x) -> Scalar:
     return RationalScalar(Fraction(x))
 
 
-def _current_bounds(a: Scalar) -> tuple[Fraction, Fraction]:
-    """Enclosure from state already at hand; never triggers refinement."""
+def _bounds_at(a: Scalar, bits: int | None) -> tuple[Fraction, Fraction]:
+    """a's bounds with no loop: exact, an algebraic's bisection enclosure of
+    width 2^-bits, or an interval's hook bounds at bits within its own;
+    with bits None, those at hand (an algebraic's base bracket)."""
     if isinstance(a, RationalScalar):
         return a.value, a.value
     if isinstance(a, AlgebraicScalar):
-        return _Bisection(a).bounds(0)
-    return a.lo, a.hi
+        return _Bisection(a).bounds(0) if bits is None else _alg_enclosure(a, Fraction(1, 1 << bits))
+    if bits is None or a.refine_fn is None:
+        return a.lo, a.hi
+    lo, hi = a.refine_fn(bits)
+    return max(a.lo, lo), min(a.hi, hi)
 
 
-def _enclose(a: Scalar, width: Fraction) -> tuple[Fraction, Fraction]:
+def _round(x: Fraction, bits: int, up: bool) -> Fraction:
+    """x rounded up or down to a multiple of 2^-bits, only where its denominator exceeds 2^bits."""
+    if x.denominator <= 1 << bits:
+        return x
+    # x is no multiple of 2^-bits, so its ceiling is its floor plus one
+    return Fraction(((x.numerator << bits) // x.denominator) + up, 1 << bits)
+
+
+def _outward(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    return _round(lo, bits, False), _round(hi, bits, True)
+
+
+def _ball(rule: Callable, *operands: Scalar) -> IntervalScalar:
+    """The interval `rule(bits, *operand bounds)`, with a hook that re-makes it at a precision.
+
+    Built on the operands' bounds at hand.  The hook applies `rule` once to
+    the operands' `_bounds_at` bits + _GUARD_BITS; it is None when no
+    operand can refine.  Endpoints are rounded outward to 2^-bits (at
+    construction DEFAULT_PRECISION_BITS), so small exact intervals stay exact
+    and no endpoint grows past the precision.
+    """
+
+    def at(bits: int, bounds) -> tuple[Fraction, Fraction]:
+        return _outward(*rule(bits, *bounds), bits)
+
+    fn = None
+    if any(isinstance(x, AlgebraicScalar) or getattr(x, "refine_fn", None) for x in operands):
+
+        def fn(bits: int) -> tuple[Fraction, Fraction]:
+            return at(bits, [_bounds_at(x, bits + _GUARD_BITS) for x in operands])
+
+    return IntervalScalar(*at(DEFAULT_PRECISION_BITS, [_bounds_at(x, None) for x in operands]), fn)
+
+
+def _mul_rule(bits, a, b):
+    cands = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(cands), max(cands)
+
+
+def _pow_rule(n: int, bits: int, a: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """x^n for n >= 1 from the bounds' magnitudes: one node for any n, and an
+    even power of an interval that holds 0 starts at 0."""
+
+    def power(x: Fraction, bits: int, up: bool) -> Fraction:
+        # x >= 0: exact while x^n is no finer than 2^-bits, else squaring of
+        # x 2^bits in integers with every quotient rounded the same way
+        den, one = x.denominator, 1 << bits
+        if (den.bit_length() - 1) * n <= bits and den**n <= one:
+            return x**n
+        div = (lambda v, d: -(-v // d)) if up else (lambda v, d: v // d)
+        out, base, k = one, div(x.numerator << bits, den), n
+        while True:
+            if k & 1:
+                out = div(out * base, one)
+            k >>= 1
+            if not k:
+                return Fraction(out, one)
+            base = div(base * base, one)
+
+    lo, hi = a
+    bits += _GUARD_BITS
+    if n % 2:
+        # increasing: lo^n rounded down and hi^n up, through magnitudes
+        return (
+            power(lo, bits, False) if lo >= 0 else -power(-lo, bits, True),
+            power(hi, bits, True) if hi >= 0 else -power(-hi, bits, False),
+        )
+    small = Fraction(0) if lo < 0 < hi else min(abs(lo), abs(hi))
+    return power(small, bits, False), power(max(abs(lo), abs(hi)), bits, True)
+
+
+def _horner_rule(coeffs: IntPoly, bits: int, a: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """Interval Horner in integers over a dyadic bracket of the operand, rounded outward at the operand's bits."""
+    A, B, D = intpoly.to_bracket(*_outward(*a, bits + _GUARD_BITS))
+    vlo, vhi = intpoly.eval_interval_scaled(coeffs, A, B, D)
+    scale = D ** intpoly.degree(coeffs)
+    return Fraction(vlo, scale), Fraction(vhi, scale)
+
+
+def _enclose(a: Scalar, width: Fraction | None, rounds: int = _ENCLOSE_ROUNDS, done=None) -> tuple[Fraction, Fraction]:
+    """Bounds of `a` toward `width` (None: none): the one refinement loop.
+
+    An interval's hook is called at bits, 2 bits, 4 bits, ... (bits at least
+    DEFAULT_PRECISION_BITS and 8 past width's), each result intersected with
+    the bounds so far, until the width is met, `done(lo, hi)` holds, `rounds`
+    calls are spent, or a round fails to halve the width.
+    """
     if isinstance(a, RationalScalar):
         return a.value, a.value
     if isinstance(a, AlgebraicScalar):
         return _alg_enclosure(a, width)
-    cur = a
-    rounds = 0
-    while cur.hi - cur.lo > width and cur.refine_fn is not None and rounds < 64:
-        bits = max(DEFAULT_PRECISION_BITS, _width_bits(width) + 8) << rounds
-        nlo, nhi = cur.refine_fn(bits)
-        nlo, nhi = max(cur.lo, nlo), min(cur.hi, nhi)
-        if 2 * (nhi - nlo) > cur.hi - cur.lo:
-            # each round asks for more bits than the last; one that does not
-            # halve the width has met a floor (an unrefinable base interval)
-            return nlo, nhi
-        cur = IntervalScalar(nlo, nhi, cur.refine_fn)
-        rounds += 1
-    return cur.lo, cur.hi
+    bits = DEFAULT_PRECISION_BITS if width is None else max(DEFAULT_PRECISION_BITS, _width_bits(width) + 8)
+    lo, hi = a.lo, a.hi
+    for k in range(rounds if a.refine_fn is not None else 0):
+        if (width is not None and hi - lo <= width) or (done is not None and done(lo, hi)):
+            break
+        nlo, nhi = a.refine_fn(bits << k)
+        nlo, nhi = max(lo, nlo), min(hi, nhi)
+        # each round asks for more bits than the last; one that does not
+        # halve the width has met a floor (an unrefinable base interval)
+        halved = 2 * (nhi - nlo) <= hi - lo
+        lo, hi = nlo, nhi
+        if not halved:
+            break
+    return lo, hi
 
 
 def _width_bits(width: Fraction) -> int:
@@ -434,15 +546,7 @@ def scalar_add(a, b) -> Scalar:
         if unified is not None:
             ua, ub = unified
             return _canonical(ua.poly, ua.lo, ua.hi, _combine(ua.nums, ub.den, ub.nums, ua.den), ua.den * ub.den)
-
-    def fn(bits: int):
-        w = Fraction(1, 2**bits)
-        alo, ahi = _enclose(a, w)
-        blo, bhi = _enclose(b, w)
-        return alo + blo, ahi + bhi
-
-    (alo, ahi), (blo, bhi) = _current_bounds(a), _current_bounds(b)
-    return IntervalScalar(alo + blo, ahi + bhi, fn)
+    return _ball(lambda bits, x, y: (x[0] + y[0], x[1] + y[1]), a, b)
 
 
 def scalar_neg(a) -> Scalar:
@@ -451,15 +555,7 @@ def scalar_neg(a) -> Scalar:
         return RationalScalar(-a.value)
     if isinstance(a, AlgebraicScalar):
         return _canonical(a.poly, a.lo, a.hi, [-x for x in a.nums], a.den)
-    fn = None
-    if a.refine_fn is not None:
-        inner = a.refine_fn
-
-        def fn(bits: int):
-            lo, hi = inner(bits)
-            return -hi, -lo
-
-    return IntervalScalar(-a.hi, -a.lo, fn)
+    return _ball(lambda bits, x: (-x[1], -x[0]), a)
 
 
 def scalar_sub(a, b) -> Scalar:
@@ -480,17 +576,7 @@ def scalar_mul(a, b) -> Scalar:
         if unified is not None:
             ua, ub = unified
             return _canonical(ua.poly, ua.lo, ua.hi, intpoly.mul(ua.nums, ub.nums), ua.den * ub.den)
-
-    def fn(bits: int):
-        w = Fraction(1, 2**bits)
-        alo, ahi = _enclose(a, w)
-        blo, bhi = _enclose(b, w)
-        cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-        return min(cands), max(cands)
-
-    (alo, ahi), (blo, bhi) = _current_bounds(a), _current_bounds(b)
-    cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return IntervalScalar(min(cands), max(cands), fn)
+    return _ball(_mul_rule, a, b)
 
 
 def scalar_inverse(a) -> Scalar:
@@ -502,15 +588,8 @@ def scalar_inverse(a) -> Scalar:
     if isinstance(a, AlgebraicScalar):
         return _alg_inverse(a)
     if a.lo <= 0 <= a.hi:
-        raise PrecisionError("scalar_inverse: interval [%s, %s] holds 0" % (a.lo, a.hi))
-    fn = None
-    if a.refine_fn is not None:
-
-        def fn(bits: int):
-            lo, hi = _enclose(a, Fraction(1, 2**bits))
-            return 1 / hi, 1 / lo
-
-    return IntervalScalar(1 / a.hi, 1 / a.lo, fn)
+        raise PrecisionError("scalar_inverse: interval [%s, %s] holds 0" % (_show(a.lo), _show(a.hi)))
+    return _ball(lambda bits, x: (1 / x[1], 1 / x[0]), a)
 
 
 def scalar_div(a, b) -> Scalar:
@@ -528,26 +607,21 @@ def scalar_sign(a, precision_budget: int = DEFAULT_DOUBLING_ROUNDS) -> SignResul
         return SignResult(_sign_of_fraction(a.value))
     if isinstance(a, AlgebraicScalar):
         return SignResult(_alg_sign(a))
-    cur = a
-    for k in range(max(0, precision_budget) + 1):
-        if cur.lo > 0:
-            return POSITIVE
-        if cur.hi < 0:
-            return NEGATIVE
-        if cur.lo == cur.hi == 0:
-            return ZERO
-        if cur.refine_fn is None or k == precision_budget:
-            break
-        nlo, nhi = cur.refine_fn(DEFAULT_PRECISION_BITS << k)
-        cur = IntervalScalar(max(cur.lo, nlo), min(cur.hi, nhi), cur.refine_fn)
-    return SignResult(None, cur.hi - cur.lo)
+    lo, hi = _enclose(a, None, max(0, precision_budget), lambda lo, hi: lo > 0 or hi < 0 or lo == hi == 0)
+    if lo > 0:
+        return POSITIVE
+    if hi < 0:
+        return NEGATIVE
+    if lo == hi == 0:
+        return ZERO
+    return SignResult(None, hi - lo)
 
 
 def scalar_is_zero(a) -> bool:
     """Exact zero test; raises for an unresolvable straddling interval."""
     s = scalar_sign(a)
     if not s.resolved:
-        raise PrecisionError("zero test unresolved at final width %s" % s.width)
+        raise PrecisionError("zero test unresolved at final width %s" % _show(s.width))
     return s.sign == 0
 
 
@@ -569,14 +643,7 @@ def eval_int_poly(p: Sequence[int], a) -> Scalar:
             den = acc.den * a.den
             acc = _canonical(a.poly, a.lo, a.hi, _combine(intpoly.mul(acc.nums, a.nums), 1, (c,), den), den)
         return acc
-
-    def fn(bits: int):
-        w = Fraction(1, 2**bits)
-        lo, hi = _enclose(a, w)
-        return intpoly.eval_interval(coeffs, lo, hi)
-
-    lo, hi = intpoly.eval_interval(coeffs, *_current_bounds(a))
-    return IntervalScalar(lo, hi, fn)
+    return _ball(partial(_horner_rule, coeffs), a)
 
 
 def scalar_pow(a, n: int) -> Scalar:
@@ -585,6 +652,8 @@ def scalar_pow(a, n: int) -> Scalar:
     base = _as_scalar(a)
     if isinstance(base, RationalScalar):
         return RationalScalar(base.value**n)
+    if isinstance(base, IntervalScalar) and n:
+        return _ball(partial(_pow_rule, n), base)
     out: Scalar = RationalScalar(Fraction(1))
     while n:
         if n & 1:
@@ -598,7 +667,7 @@ def scalar_enclosure(a, width) -> tuple[Fraction, Fraction]:
     """Rational enclosure of width <= `width` (PrecisionError if unreachable)."""
     lo, hi = _enclose(_as_scalar(a), Fraction(width))
     if hi - lo > Fraction(width):
-        raise PrecisionError("cannot enclose scalar to width %s" % width)
+        raise PrecisionError("cannot enclose scalar to width %s" % _show(Fraction(width)))
     return lo, hi
 
 

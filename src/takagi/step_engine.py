@@ -51,6 +51,7 @@ from .evaluate import (
 )
 from .scalars import (
     IntervalScalar,
+    PrecisionError,
     RationalScalar,
     Scalar,
     scalar_add,
@@ -66,11 +67,12 @@ DEFAULT_DEPTH_BITS = 128  # an interval partial sum is enclosed once at 2^-bits
 ENUMERATION_CAP = 12  # max certified zeros before classification gives up
 
 
-class AbortUnresolved(Exception):
-    """A partial-sum sign could not be certified (interval coefficients)."""
+class AbortUnresolved(PrecisionError):
+    """A partial-sum sign could not be certified (interval coefficients): a
+    PrecisionError, so every unresolved answer is caught as one."""
 
     def __init__(self, index: int, width):
-        super().__init__(f"sign of partial sum S_{index} unresolved (width {width})")
+        super().__init__(f"sign of partial sum S_{index} unresolved (width {scalars._show(width)})")
         self.index = index
         self.width = width
 

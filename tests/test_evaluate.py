@@ -307,6 +307,23 @@ def test_geometric_over_wide_interval_alpha():
         ev.eval_series(c, F(1, 3), F(1, 10**6))
 
 
+def test_interval_geometric_tail_bound_is_rounded_up_small():
+    # near alpha = 2 an interval's exact q^(n+1) would have millions of bits
+    # (q's denominator times n); the bound is that value rounded up to about
+    # 64 significant bits
+    e = F(1, 10**25)
+    c = ev.Geometric(sc.interval(F(399, 200) - e, F(399, 200) + e))
+    q = max(abs(c._ratio.lo), abs(c._ratio.hi))
+    previous = None
+    for n in (100, 5000, 5001, 30000):
+        exact = q ** (n + 1) / (1 - q)
+        bound = c.tail_bound(n)
+        assert exact <= bound <= exact * (1 + F(1, 2**60))
+        assert bound.denominator.bit_length() < 400
+        assert previous is None or bound <= previous
+        previous = bound
+
+
 def test_eval_series_past_orbit_cap(monkeypatch):
     # the period of 1/37 is 36; a slowly decaying sequence takes the
     # rounded-prefix path, which needs only the first n + 1 tent values

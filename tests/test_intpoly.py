@@ -233,3 +233,33 @@ def test_descartes_count_bounds_the_roots_in_a_bracket(coeffs, kbits, a, w):
         assert with_multiplicity == 0
     if count == 1:
         assert with_multiplicity == 1 and sa * sb < 0
+
+
+def test_squarefree_part_from_the_chain_matches_squarefree_part():
+    # isolate_brackets divides p by the last member of its Sturm chain; on
+    # every non-squarefree normalized Littlewood polynomial of degree <= 12
+    # that is the gcd-based squarefree_part
+    seen = 0
+    for d in range(1, 13):
+        for mask in range(2**d):
+            p = (1,) + tuple(-1 if (mask >> j) & 1 else 1 for j in range(d))
+            if ip.degree(ip.sturm_chain(p)[-1]) >= 1:
+                seen += 1
+                assert ip.isolate_brackets(p, [(1, 4, 2)])[0] == ip.squarefree_part(p)
+    assert seen == 74
+
+
+def test_root_sign_tests_for_zero_once_at_the_second_straddle(monkeypatch):
+    # x = sqrt2 in (1, 2): p = x^2 - 2 straddles 0 at every bracket, and the
+    # gcd test after one 2^5-fold refinement decides it, not a walk below 2^-64
+    gcds, refines = [], []
+    gcd, refine = ip.poly_gcd, ip.refine_bracket
+    monkeypatch.setattr(ip, "poly_gcd", lambda *a: gcds.append(a) or gcd(*a))
+    monkeypatch.setattr(ip, "refine_bracket", lambda *a: refines.append(a) or refine(*a))
+    sq = (-2, 0, 1)
+    s, (A, B, D) = ip.root_sign((-2, 0, 1), sq, (1, 2, 1))
+    assert s == 0 and len(gcds) == 1 and len(refines) == 1 and 16 * (B - A) == D
+    # p(x) = x - 1.4142 > 0 takes several rounds, and one gcd test among them
+    gcds.clear(), refines.clear()
+    assert ip.root_sign((-7071, 5000), sq, (1, 2, 1))[0] == 1
+    assert len(gcds) == 1 and len(refines) > 2

@@ -1,9 +1,14 @@
 """Regime classification, closed forms, root solvers, and the C(alpha) curve."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from takagi import evaluate as ev
 from takagi import landsberg as lb
@@ -263,6 +268,57 @@ def test_tabor_c_matches_maximum_at_alpha_n():
         assert not (cv.hi < r.value_lo or r.value_hi < cv.lo), n
 
 
+def _mpmath_tabor(alpha, prec=200):
+    """C(alpha) in mpmath.iv at `prec` bits, as exact Fraction endpoints."""
+    import mpmath
+
+    def frac(mpf):
+        sign, man, exp, _ = mpf
+        v = F(man) * F(2) ** exp
+        return -v if sign else v
+
+    lo, hi = sc.scalar_enclosure(alpha, F(1, 2 ** (prec + 8)))
+    old = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = prec
+        a = mpmath.iv.mpf([mpmath.iv.mpf(lo.numerator) / lo.denominator, mpmath.iv.mpf(hi.numerator) / hi.denominator])
+        a = mpmath.iv.mpf([a.a, a.b])
+        log2a = mpmath.iv.log(a) / mpmath.iv.log(2)
+        c = 1 / (2 - 2 * mpmath.iv.exp((log2a - 1) / log2a * mpmath.iv.log(2 * a - 1)))
+        return frac(c._mpi_[0]), frac(c._mpi_[1])
+    finally:
+        mpmath.iv.prec = old
+
+
+def test_tabor_c_overlaps_mpmath_interval():
+    # the decimal enclosure at 10^-30 against mpmath's interval log/exp
+    alphas = [lb.solve_alpha_n(n) for n in range(2, 9)]
+    alphas += [QUARTIC, sc.rational(F(51, 100)), sc.rational(F(3, 4)), sc.rational(F(99, 100))]
+    for alpha in alphas:
+        cv = lb.tabor_C(alpha, F(1, 10**30))
+        assert cv.hi - cv.lo <= F(1, 10**30)
+        lo, hi = _mpmath_tabor(alpha)
+        assert hi - lo < F(1, 10**40)
+        assert lo <= cv.hi and cv.lo <= hi, alpha
+
+
+def test_tabor_c_and_maxima_without_mpmath():
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction as F\n"
+        "import takagi\n"
+        "q = takagi.algebraic([1, -1, -1, -1, 1], F(1, 2), 1)\n"
+        "c = takagi.tabor_C(q, F(1, 10**20))\n"
+        "assert F(508008, 10**6) - F(1, 10**6) < c.lo <= c.hi < F(508008, 10**6) + F(1, 10**6)\n"
+        "assert takagi.maxima(q).cardinality.kind == 'continuum'\n"
+        "assert 'mpmath' not in [m.split('.')[0] for m in sys.modules if sys.modules[m] is not None]\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def test_tabor_c_differs_from_maximum_at_quartic():
     cv = lb.tabor_C(QUARTIC, F(1, 10**8))
     assert abs((cv.lo + cv.hi) / 2 - F("0.508008")) < F(1, 10**6)
@@ -333,3 +389,65 @@ def test_critical_maximizers_never_dyadic():
         for t in (r.smallest.exact, r.largest.exact):
             assert t is not None
             assert t.denominator & (t.denominator - 1) != 0  # not a power of two
+
+
+# ---------------------------------------------------------------------------
+# every alpha in (-2, 2) ends in a report or a named failure
+
+# the cheapest roots in (1/2, 1) of the Littlewood parameter pool, and the
+# neg_steep boundaries x_1, x_2, x_3 in (-2, -1)
+POOL_ROOTS = [
+    sc.algebraic(poly, F(1, 2), 1)
+    for poly in ((1, -1, -1), (1, -1, -1, -1), (1, -1, -1, 1, -1), (1, 1, -1, -1, -1, -1), (1, -1, -1, -1, 1))
+] + [lb.solve_xn(n).root for n in (1, 2, 3)]
+
+# an interval alpha's series encloses each coefficient of its rounded prefix
+# once, about 29,000 of them at alpha = 399/200 +- 10^-9; a hook called more
+# often than this is refining inside a refinement
+HOOK_CALL_BOUND = 100_000
+
+
+def _alpha(center, kind: str, exponent: int, calls: list):
+    """center itself, or an interval of width about 10^-exponent around it:
+    flat, or with a hook that encloses center to about 2^-bits (a rational
+    at every bits, a pool root down to 2^-256, a floor that ends the
+    refinement loop)."""
+    if kind == "exact":
+        return center
+    w = F(1, 10**exponent)
+    lo, hi = sc.scalar_enclosure(center, w / 4)
+    if kind == "flat":
+        return sc.interval(lo - w / 2, hi + w / 2)
+
+    def hook(bits):
+        calls.append(bits)
+        clo, chi = sc.scalar_enclosure(center, F(1, 2 ** min(bits, 256)))
+        return clo - F(1, 2**bits), chi + F(1, 2**bits)
+
+    return sc.interval(lo - w / 2, hi + w / 2, hook)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(min_value=F(-2), max_value=F(2), max_denominator=200).filter(lambda a: -2 < a < 2).map(sc.rational),
+        st.sampled_from(POOL_ROOTS),
+    ),
+    st.sampled_from(["exact", "flat", "refinable"]),
+    st.integers(9, 40),
+    st.sampled_from([lb.classify_alpha, lb.maxima, lb.minima]),
+)
+# the value check's width there has a 15,615-bit denominator, whose str()
+# raised ValueError inside the PrecisionError message
+@example(sc.rational(F(-327, 196)), "flat", 16, lb.maxima)
+def test_every_alpha_ends_in_a_report_or_a_named_failure(center, kind, exponent, query):
+    # never TypeError, AssertionError or RecursionError: an undecidable
+    # interval raises PrecisionError (AbortUnresolved is one), and one that
+    # leaves (-2, 2) DomainError
+    calls = []
+    alpha = _alpha(center, kind, exponent, calls)
+    try:
+        query(alpha)
+    except (sc.PrecisionError, ev.BudgetError, ev.DomainError):
+        pass
+    assert len(calls) <= HOOK_CALL_BOUND
