@@ -13,13 +13,14 @@ them (`refine_bracket`) and decides the step property of a root against the
 prefixes of a coefficient tuple (`step_root_at`); `isolate_roots` is its
 Fraction-endpoint form; `descartes_count` bounds a bracket's roots without
 a Sturm chain.  The sign of any integer polynomial at such a root comes from
-one kernel, `root_sign`, which the step test and the step engine's recursion
-both call.  The `*_dyadic` names are the denominator-2^k cases of the scaled
-kernels.
+one kernel, `root_sign`, which the step test, the step engine's recursion
+and `scalars.scalar_sign` of an algebraic number all call.  The `*_dyadic`
+names are the denominator-2^k cases of the scaled kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -325,18 +326,21 @@ def isolate_brackets(
     return sq, brackets, repeated
 
 
-def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction) -> Bracket:
+def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction, slo: int | None = None) -> Bracket:
     """Bisect a bracket of p until it is at most `width` wide.
 
     x is a simple root of p, the only root of p in the bracket, and neither
     end is a root; p need not be squarefree.  A midpoint that is the root
-    ends the bisection with the exact bracket (M, M, D).
+    ends the bisection with the exact bracket (M, M, D).  `slo` is the sign
+    of p left of x, which every bracket of x shares; it is computed when
+    None.
     """
     if width <= 0:
         raise ValueError("refine_bracket: width must be positive")
     A, B, D = bracket
     wnum, wden = width.numerator, width.denominator
-    slo = sign_at_scaled(p, A, D)
+    if slo is None:
+        slo = sign_at_scaled(p, A, D)
     while (B - A) * wden > wnum * D:
         m, D = A + B, 2 * D
         sm = sign_at_scaled(p, m, D)
@@ -360,34 +364,37 @@ def has_root(g: IntPoly, bracket: Bracket) -> bool:
     return degree(g) >= 1 and sign_at_scaled(g, A, D) * sign_at_scaled(g, B, D) < 0
 
 
-def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[int, Bracket]:
+def root_sign(p: IntPoly, sq: IntPoly, bracket: Bracket, slo: int | None = None) -> tuple[int, Bracket]:
     """Sign of p(x) for the root x of `sq` in `bracket`, and a bracket of x.
 
     x is a simple root of `sq` that `bracket` isolates, as for
     `refine_bracket`.  The sign comes from interval Horner over the bracket,
     which is refined as p needs and never widened; the bracket returned is
     the one that decided, so a caller that keeps it for its next query never
-    refines twice.  The bracket shrinks 2^5-fold a round until an enclosure
-    excludes 0.  The second enclosure that holds 0 gets the exact zero test,
-    once: the gcd of p and `sq` vanishes at x.  Not the first: a value that
-    straddles 0 there is mostly decided by one round, which costs less than
-    the gcd (the step engine's sign queries are such values).
+    refines twice.  Until an enclosure excludes 0, the bracket shrinks
+    2^5-fold in the first round and then 2^10-, 2^20-, ... fold, so depth d
+    takes O(log d) enclosures.  The second enclosure that holds 0 gets the
+    exact zero test, once: the gcd of p and `sq` vanishes at x.  Not the
+    first: a value that straddles 0 there is mostly decided by one round,
+    which costs less than the gcd (the step engine's sign queries are such
+    values).  `slo`, the sign of `sq` left of x, is taken once for all
+    rounds (as for `refine_bracket`).
     """
     p = normalize(p)
     if not p:
         return 0, bracket
     A, B, D = bracket
-    straddles = 0
-    while True:
+    for k in itertools.count():
         if A == B:
             return sign_at_scaled(p, A, D), (A, B, D)
         vlo, vhi = eval_interval_scaled(p, A, B, D)
         if vlo > 0 or vhi < 0:
             return (1 if vlo > 0 else -1), (A, B, D)
-        straddles += 1
-        if straddles == 2 and has_root(poly_gcd(sq, p), (A, B, D)):
+        if k == 1 and has_root(poly_gcd(sq, p), (A, B, D)):
             return 0, (A, B, D)
-        A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << 5))
+        if slo is None:
+            slo = sign_at_scaled(sq, A, D)
+        A, B, D = refine_bracket(sq, (A, B, D), Fraction(1 << (B - A).bit_length(), D << (5 << k)), slo)
 
 
 def step_root_at(coeffs: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[bool, bool]:

@@ -25,7 +25,7 @@ from itertools import groupby
 
 from . import intpoly
 from .evaluate import BudgetError
-from .scalars import AlgebraicScalar, RationalScalar, Scalar
+from .scalars import AlgebraicScalar, RationalScalar, Scalar, refine
 
 NEG_LO, NEG_HI = Fraction(-2), Fraction(-1, 2)
 POS_LO, POS_HI = Fraction(1, 2), Fraction(2)
@@ -166,21 +166,15 @@ def _empty_summary(max_degree: int, bins: int) -> ScanSummary:
 def real_roots(p: LittlewoodPoly, width: Fraction = ROOT_WIDTH) -> list[Scalar]:
     """All distinct real roots, isolated to `width` inside the root annulus.
 
-    Each root is the walker's certified bracket of the squarefree part, as
-    the base root ``algebraic(p.coeffs, lo, hi)`` would give it, without a
-    second Sturm count; a linear part or a midpoint on the root is rational.
+    Each root is `refine` of the walker's certified bracket of the
+    squarefree part, the base root ``algebraic(p.coeffs, lo, hi)`` would
+    give, without a second Sturm count; a linear part or a midpoint on the
+    root is rational.
     """
     sq, brackets, _repeated = intpoly.isolate_brackets(p.coeffs, _ANNULUS)
     if intpoly.degree(sq) == 1:
         return [RationalScalar(Fraction(-sq[0], sq[1]))] * len(brackets)
-    out: list[Scalar] = []
-    for bracket in brackets:
-        A, B, D = intpoly.refine_bracket(sq, bracket, width)
-        if A == B:
-            out.append(RationalScalar(Fraction(A, D)))
-        else:
-            out.append(AlgebraicScalar(sq, Fraction(A, D), Fraction(B, D), (0, 1), 1))
-    return out
+    return [refine(AlgebraicScalar(sq, Fraction(A, D), Fraction(B, D), (0, 1), 1), width) for A, B, D in brackets]
 
 
 def rational_root_filter(p: LittlewoodPoly) -> list[int]:

@@ -9,9 +9,11 @@ either exact or explicitly unresolved.  Three variants:
   remainder polynomial held in one integer form: numerators ``nums`` over
   one positive denominator ``den``, reduced modulo the defining polynomial
   and in lowest terms.  Every operation builds its result through
-  `_canonical`.  Signs are decided exactly: zero by a polynomial gcd test
-  against the defining polynomial, nonzero by interval refinement (which
-  must terminate once zero is excluded).
+  `_canonical`.  Its sign is `intpoly.root_sign`, the kernel the step test
+  and the step engine call: exact, zero by a polynomial gcd test against
+  the defining polynomial, nonzero by interval refinement (which must
+  terminate once zero is excluded).  Enclosures and `refine` bisect with
+  `intpoly.refine_bracket`, so one walker serves every algebraic root.
 * ``IntervalScalar`` -- a rational enclosure with an optional refinement hook
   ``refine_fn(bits)``; the only variant whose sign can come back unresolved.
 
@@ -226,89 +228,57 @@ def _clear_denominators(vec: tuple[Fraction, ...]) -> tuple[IntPoly, int]:
     return intpoly.normalize([c.numerator * (lcm // c.denominator) for c in vec]), lcm
 
 
-class _Bisection:
-    """Bisection of an algebraic scalar's base bracket, in integers.
+def _alg_bounds(a: AlgebraicScalar, bracket: intpoly.Bracket) -> tuple[Fraction, Fraction]:
+    """Enclosure of v(alpha) by interval Horner over a bracket of alpha; exact on (M, M, D).
 
-    Bracket k is (A/D, B/D), the base interval halved k times toward the
-    root.  Every bracket reached is kept, so a query can go back to any depth
-    it has already walked.  A midpoint that is itself the root ends the walk:
-    `root` holds it, and no deeper bracket exists.
+    Scaling V by the positive den * D^deg V keeps min and max, so these are
+    exactly the bounds of Fraction interval Horner, which is
+    inclusion-monotone: over nested brackets the enclosures are nested.
     """
-
-    def __init__(self, a: AlgebraicScalar):
-        self.a = a
-        self.brackets = [intpoly.to_bracket(a.lo, a.hi)]
-        self.sign_lo = intpoly.sign_at(a.poly, a.lo)
-        self.root: Fraction | None = None
-
-    def at(self, depth: int) -> tuple[int, int, int] | None:
-        """Bracket (A, B, D) at `depth`, or None past a midpoint root."""
-        if depth > _REFINE_STEP_LIMIT:
-            raise RuntimeError("algebraic bisection failed to converge")
-        while len(self.brackets) <= depth and self.root is None:
-            A, B, D = self.brackets[-1]
-            sm = intpoly.sign_at_scaled(self.a.poly, A + B, 2 * D)
-            if sm == 0:
-                self.root = Fraction(A + B, 2 * D)
-            elif sm == self.sign_lo:
-                self.brackets.append((A + B, 2 * B, 2 * D))
-            else:
-                self.brackets.append((2 * A, A + B, 2 * D))
-        return self.brackets[depth] if depth < len(self.brackets) else None
-
-    def bounds(self, depth: int) -> tuple[Fraction, Fraction]:
-        """Enclosure of v(alpha) from bracket `depth`; past a midpoint root, the exact value.
-
-        Interval Horner is inclusion-monotone, so the enclosures are nested
-        and their width never grows with depth.
-        """
-        a, bracket = self.a, self.at(depth)
-        if bracket is None:
-            r = _at_rational(self.root, a.nums, a.den).value
-            return r, r
-        # v = V/den by the integer kernel: scaling by the positive
-        # den * D^deg V keeps min and max, so the bounds are exactly those of
-        # Fraction interval Horner
-        vlo, vhi = intpoly.eval_interval_scaled(a.nums, *bracket)
-        scale = a.den * bracket[2] ** max(intpoly.degree(a.nums), 0)
-        return Fraction(vlo, scale), Fraction(vhi, scale)
-
-
-def _next_depth(depth: int) -> int:
-    """Depths 0, 4, 8, 16, ...: O(log d) value evaluations to reach depth d."""
-    return max(4, 2 * depth)
+    vlo, vhi = intpoly.eval_interval_scaled(a.nums, *bracket)
+    scale = a.den * bracket[2] ** max(intpoly.degree(a.nums), 0)
+    return Fraction(vlo, scale), Fraction(vhi, scale)
 
 
 def _alg_sign(a: AlgebraicScalar) -> int:
-    walk = _Bisection(a)
-    # an enclosure that excludes 0 has the sign; the exact zero test runs
-    # once, when the base enclosure does not, so that the loop must end
-    depth = 0
-    while True:
-        lo, hi = walk.bounds(depth)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        # v(alpha) = 0 exactly when gcd(poly, v) vanishes at alpha (v = 0 included)
-        if depth == 0 and intpoly.has_root(intpoly.poly_gcd(a.poly, a.nums), walk.brackets[0]):
-            return 0
-        depth = _next_depth(depth)
+    # the sign of poly at lo holds on every bracket of alpha the query narrows to
+    return intpoly.root_sign(a.nums, a.poly, intpoly.to_bracket(a.lo, a.hi), intpoly.sign_at(a.poly, a.lo))[0]
 
 
 def _alg_enclosure(a: AlgebraicScalar, width: Fraction) -> tuple[Fraction, Fraction]:
     """Bounds at the first bisection depth whose value width is <= `width`.
 
-    The width never grows with depth, so a galloping search and then a binary
-    search over depth find the depth that bisecting one step at a time finds.
+    The width never grows with depth, so a gallop over depths 0, 4, 8, 16,
+    ... and then a binary search over depth find the depth that bisecting
+    one step at a time finds.  `refine_bracket` walks the gallop, and only
+    the deepest bracket is kept: the base bracket (A0, B0, D0) halved k
+    times toward the root is read from it by integer shifts, and a midpoint
+    root (M, M, D) is exact at its own depth and deeper.  A width <= 0 is
+    out of reach and a ValueError, before any bisection.
     """
-    walk = _Bisection(a)
+    if width <= 0:
+        raise ValueError("enclosure width %s is not positive" % _show(width))
+    A0, B0, D0 = deep = intpoly.to_bracket(a.lo, a.hi)
+    slo = intpoly.sign_at(a.poly, a.lo)
+    w, e = B0 - A0, 0  # deep is the bracket at depth e
+
+    def bounds(k: int) -> tuple[Fraction, Fraction]:
+        if k >= e:
+            return _alg_bounds(a, deep)
+        j = (deep[0] - (A0 << e)) // (w << (e - k))
+        lo = (A0 << k) + j * w
+        return _alg_bounds(a, (lo, lo + w, D0 << k))
+
     failed, depth = -1, 0
-    while (b := walk.bounds(depth))[1] - b[0] > width:
-        failed, depth = depth, _next_depth(depth)
+    while (b := bounds(depth))[1] - b[0] > width:
+        failed, depth = depth, max(4, 2 * depth)
+        if depth > _REFINE_STEP_LIMIT:
+            raise PrecisionError("width %s needs bisection past depth %d" % (_show(width), _REFINE_STEP_LIMIT))
+        deep = intpoly.refine_bracket(a.poly, deep, Fraction(w, D0 << depth), slo)
+        e = (deep[2] // D0).bit_length() - 1
     while depth - failed > 1:
         mid = (failed + depth) // 2
-        bm = walk.bounds(mid)
+        bm = bounds(mid)
         if bm[1] - bm[0] <= width:
             depth, b = mid, bm
         else:
@@ -411,7 +381,9 @@ def _bounds_at(a: Scalar, bits: int | None) -> tuple[Fraction, Fraction]:
     if isinstance(a, RationalScalar):
         return a.value, a.value
     if isinstance(a, AlgebraicScalar):
-        return _Bisection(a).bounds(0) if bits is None else _alg_enclosure(a, Fraction(1, 1 << bits))
+        if bits is None:
+            return _alg_bounds(a, intpoly.to_bracket(a.lo, a.hi))
+        return _alg_enclosure(a, Fraction(1, 1 << bits))
     if bits is None or a.refine_fn is None:
         return a.lo, a.hi
     lo, hi = a.refine_fn(bits)

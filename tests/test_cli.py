@@ -1,7 +1,9 @@
 """CLI surface: subcommands, formats, exit codes, file outputs."""
 
+import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -224,13 +226,15 @@ def test_selftest(capsys):
 
 def test_eval_nonpositive_width_is_an_error(tmp_path, capsys):
     # 600 coefficients outrun the direct sum, so width 0 reaches the rounded
-    # prefix, which cannot round to it
+    # prefix, which cannot round to it; an algebraic alpha's closed form
+    # cannot be enclosed to it either
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps(["1/%d" % (m + 1) ** 2 for m in range(600)]))
-    for seq in ("file:%s" % path, "power-squared"):
-        code, out, err = run(capsys, "eval", "--seq", seq, "--t", "1/3", "--width", "0")
-        assert code == cli.EXIT_USAGE and out == ""
-        assert err.startswith("error: ")
+    for seq in (["--seq", "file:%s" % path], ["--seq", "power-squared"], ["--alpha", "sqrt2"]):
+        for width in ("0", "-1"):
+            code, out, err = run(capsys, "eval", *seq, "--t", "1/3", "--width=" + width)
+            assert code == cli.EXIT_USAGE and out == ""
+            assert err.startswith("error: ")
 
 
 def test_eval_short_finite_support_at_width_zero(tmp_path, capsys):
@@ -241,3 +245,51 @@ def test_eval_short_finite_support_at_width_zero(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)
     assert d["lo"] == d["hi"] == "0.416666666666666666666666666667"
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_eval_nonpositive_width_is_rejected_before_bisecting(monkeypatch, capsys, width):
+    # before this check, width <= 0 bisected sqrt2 to depth 65,536
+    from takagi import intpoly
+
+    calls = []
+    refine, enclosure = intpoly.refine_bracket, cli.scalar_enclosure
+
+    def counted_enclosure(*args):
+        calls.clear()  # Geometric's check that alpha < 2 may refine first
+        return enclosure(*args)
+
+    monkeypatch.setattr(intpoly, "refine_bracket", lambda *a: calls.append(a) or refine(*a))
+    monkeypatch.setattr(cli, "scalar_enclosure", counted_enclosure)
+    run(capsys, "eval", "--alpha", "sqrt2", "--t", "1/3", "--width=" + width)
+    assert calls == []
+
+
+def test_eval_past_the_bisection_depth_limit_is_unresolved(monkeypatch, capsys):
+    from takagi import scalars as sc
+
+    monkeypatch.setattr(sc, "_REFINE_STEP_LIMIT", 16)
+    code, out, err = run(capsys, "eval", "--alpha", "sqrt2", "--t", "1/3")
+    assert code == cli.EXIT_UNRESOLVED == 2 and out == ""
+    assert "depth 16" in err
+
+
+def test_algebraic_report_and_eval_digests(capsys):
+    # sha256 of the maxima reports at the 24 cheapest pool roots and of
+    # `eval --format json` at three algebraic alphas, before the one bracket
+    # walker; the pool file is only read
+    from takagi import landsberg
+
+    pool = Path(__file__).resolve().parents[1] / "bench" / "alpha_pool_order.txt"
+    specs = [s for s in pool.read_text().split("\n") if s and not s.startswith("#")][:24]
+    reports = [cli.report_to_dict(landsberg.maxima(cli.parse_alpha(s))) for s in specs]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "f2fc1d067679b9b4fe319f230c44d3ebc14ec579c020ee50074bcc66dbf9d1f0"
+    outs = []
+    for alpha in ("sqrt2", "golden", "root:1,-1,-1,-1,1:1/2:1"):
+        for t in ("1/3", "5/7", "11/37"):
+            code, out, _ = run(capsys, "eval", "--alpha", alpha, "--t", t, "--format", "json")
+            assert code == 0
+            outs.append(out)
+    digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+    assert digest == "69315c105a677170acac4b1cf78301835850fe4e4b3787f77ad66cc817d2e00e"
