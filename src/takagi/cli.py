@@ -477,7 +477,7 @@ def cmd_selftest(args) -> int:
 
 _OPTIONS = {
     "--depth": dict(type=int, default=step_engine.DEFAULT_DEPTH),
-    "--format": dict(choices=["json", "csv", "pretty"], default="pretty"),
+    "--format": dict(choices=["json", "pretty"], default="pretty"),
     "--jobs": dict(type=int, default=1),
     "--max-degree": dict(type=int, default=12),
     "--bins": dict(type=int, default=200),
@@ -503,7 +503,8 @@ def build_parser() -> _Parser:
 
     for name, fn in (("maximize", cmd_maximize), ("minimize", cmd_minimize)):
         p = sub.add_parser(name)
-        _add_options(p, "--depth", "--format")
+        _add_options(p, "--depth")
+        p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
         _add_sequence(p)
         p.set_defaults(func=fn)
 

@@ -14,8 +14,12 @@ structure:
 Minima: t = 1/5 (and 4/5) with value (1+a)/(5(1-(a/2)^2)) on (-2,-1), a
 dimension-1/2 perfect set of zeros at a = -1, and {0, 1} for a > -1.
 
-Closed forms are cross-checked against the engine and against direct orbit
-evaluation on every call, so a disagreement raises instead of propagating.
+Each regime's closed-form extremizers and extremum are written once, in
+`extremizers` and `extremum_value`; `maxima`, `minima` and `tau_point` read
+them.  Every engine report with a closed form is checked against it, and the
+deep neg_steep windows past the engine's depth cap, where the report is the
+closed form itself, against direct orbit evaluation, so a disagreement raises
+instead of propagating.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import step_engine
-from .evaluate import DomainError, Geometric, eval_periodic
+from .evaluate import DomainError, Geometric, eval_periodic, rademacher_of
 from . import scalars
 from .scalars import (
     IntervalScalar,
@@ -44,7 +48,7 @@ from .scalars import (
     scalar_sign,
     scalar_sub,
 )
-from .step_engine import ExtremaReport
+from .step_engine import Cardinality, ExtremaReport
 
 NEG_STEEP = "neg_steep"
 MIDDLE = "middle"
@@ -190,98 +194,113 @@ def posteep_max_value(alpha) -> Scalar:
     return scalar_div(RationalScalar(Fraction(2)), scalar_mul(scalar_sub(Fraction(2), alpha), 3))
 
 
-def _assert_value_in(report: ExtremaReport, value: Scalar, what: str) -> None:
-    lo, hi = scalar_enclosure(value, report.value_width + Fraction(1, 2**80))
-    if hi < report.value_lo or lo > report.value_hi:
-        raise AssertionError("%s: closed form disagrees with engine enclosure" % what)
+def extremizers(alpha: Scalar, regime: AlphaRegime, kind: str) -> tuple[Fraction, Fraction, Cardinality] | None:
+    """The closed-form smallest and largest extremizer of f_alpha in [0, 1/2].
 
-
-def _decided(report: ExtremaReport) -> ExtremaReport:
-    """The engine's report, or PrecisionError where it left the cardinality unknown.
-
-    Every regime with a closed form has a decided answer, so an unknown one
-    means alpha is too coarse (an interval), not that the closed form fails.
+    Returned with the cardinality of the whole set.  The pair and its
+    reflections 1 - t are every extremizer, except for the minimizers at
+    alpha = -1: a perfect set of dimension 1/2 from 0 to 1/4.  None for the
+    maximizers on (1/2, 1], which only the engine decides.
     """
+    if kind == "min":
+        if regime.variant == NEG_STEEP:
+            pair = Fraction(1, 5), Fraction(1, 5)
+        elif _sign_or_raise(scalar_add(alpha, 1), "alpha + 1") == 0:
+            return Fraction(0), Fraction(1, 4), Cardinality.continuum(2)
+        else:
+            pair = Fraction(0), Fraction(0)
+    elif regime.variant == NEG_STEEP:
+        # at the boundary x_n the windows n - 1 and n share the maximum
+        pair = t_location(regime.n - regime.boundary), t_location(regime.n)
+    elif regime.variant == MIDDLE:
+        pair = Fraction(1, 2), Fraction(1, 2)
+    elif regime.variant == POS_STEEP:
+        pair = Fraction(1, 3), Fraction(1, 3)
+    else:
+        return None
+    return pair + (Cardinality.finite(len(_reflected(pair))),)
+
+
+def extremum_value(alpha: Scalar, regime: AlphaRegime, kind: str) -> Scalar:
+    """The closed-form extremum of f_alpha wherever `extremizers` has a pair."""
+    if kind == "min":
+        return minima_value_neg(alpha) if regime.variant == NEG_STEEP else RationalScalar(Fraction(0))
+    if regime.variant == NEG_STEEP:
+        return negsteep_max_value(alpha, regime.n)
+    if regime.variant == MIDDLE:
+        return RationalScalar(Fraction(1, 2))
+    return posteep_max_value(alpha)
+
+
+def _reflected(pair) -> tuple[Fraction, ...]:
+    return tuple(sorted(set(pair) | {1 - t for t in pair}))
+
+
+def _checked(report: ExtremaReport, alpha: Scalar, regime: AlphaRegime) -> ExtremaReport:
+    """The engine's report, checked against the closed form where there is one.
+
+    A regime with a closed form has a decided answer, so one left unknown
+    raises PrecisionError (alpha is a too coarse interval); a disagreement in
+    the locations or the value raises AssertionError.
+    """
+    table = extremizers(alpha, regime, report.kind)
+    if table is None:
+        return report
     if report.cardinality.kind == "unknown":
         raise PrecisionError("extremizer cardinality unknown beyond depth %d" % report.cardinality.depth)
+    smallest, largest, card = table
+    locations = _reflected((smallest, largest)) if card.kind == "finite" else None
+    got = report.smallest.exact, report.largest.exact, report.cardinality, report.locations
+    if got != (smallest, largest, card, locations):
+        raise AssertionError("%s %s: engine extremizers disagree with the closed form" % (regime, report.kind))
+    lo, hi = scalar_enclosure(extremum_value(alpha, regime, report.kind), report.value_width + Fraction(1, 2**80))
+    if hi < report.value_lo or lo > report.value_hi:
+        raise AssertionError("%s %s: closed-form value disagrees with engine enclosure" % (regime, report.kind))
     return report
 
 
 def maxima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
     """Global maximizers of f_alpha with certified cardinality and value.
 
-    All regimes run through the step recursion engine; where a closed form
-    exists (everywhere except (1/2, 1]) the engine result is asserted against
-    it, and against direct orbit evaluation.  An engine answer left unknown
-    there raises PrecisionError.
+    The step recursion engine decides every alpha except the deepest
+    neg_steep windows.  Where a closed form exists (everywhere except
+    (1/2, 1]), `_checked` checks the engine's report against it, and an
+    answer left unknown there raises PrecisionError.
+
+    Window n needs depth 2n + 18.  Past _ENGINE_DEPTH_CAP (n >= 248, alpha in
+    about (-1.0022, -1)) the report is built from the closed form, and the
+    orbit evaluation at the smallest and largest maximizer must equal the
+    closed-form value.  The engine would give the same report but for its
+    depth, at about three times the cost and with memory growing as n^2.
     """
     alpha = scalars._as_scalar(alpha)
     regime = classify_alpha(alpha)
     c = Geometric(alpha)
     if regime.variant == NEG_STEEP:
-        need = 2 * regime.n + 18
-        run_depth = max(depth, need)
+        run_depth = max(depth, 2 * regime.n + 18)
         if run_depth > _ENGINE_DEPTH_CAP:
-            return _negsteep_report(alpha, c, regime, depth)
-        report = _decided(step_engine.classify_extrema(c, "max", run_depth))
-        n = regime.n
-        if regime.boundary:
-            expect = {t_location(n - 1), t_location(n)} if n >= 1 else None
-            if expect is None or report.cardinality.count != 4:
-                raise AssertionError("boundary x_n should give four maximizers")
-            if {report.smallest.exact, report.largest.exact} != expect:
-                raise AssertionError("boundary maximizers disagree with t_(n-1), t_n")
-        else:
-            if report.cardinality.count != 2 or report.smallest.exact != t_location(n):
-                raise AssertionError("neg_steep maximizer disagrees with (5-4^-n)/10")
-            _assert_value_in(report, negsteep_max_value(alpha, n), "neg_steep maximum")
-        return report
-    report = step_engine.classify_extrema(c, "max", depth)
-    if regime.variant != CRITICAL:
-        _decided(report)
-    if regime.variant == MIDDLE:
-        if report.cardinality.count != 1 or report.smallest.exact != Fraction(1, 2):
-            raise AssertionError("middle regime should have the unique maximizer 1/2")
-        _assert_value_in(report, RationalScalar(Fraction(1, 2)), "middle maximum")
-    elif regime.variant == POS_STEEP:
-        if report.cardinality.count != 2 or report.smallest.exact != Fraction(1, 3):
-            raise AssertionError("pos_steep regime should have maximizers {1/3, 2/3}")
-        _assert_value_in(report, posteep_max_value(alpha), "pos_steep maximum")
-    return report
+            return _closed_form_report(c, regime, depth)
+        depth = run_depth
+    return _checked(step_engine.classify_extrema(c, "max", depth), alpha, regime)
 
 
-def _negsteep_report(alpha, c, regime, depth) -> ExtremaReport:
-    """Closed-form report for deep neg_steep windows beyond the engine cap."""
-    n = regime.n
-    if regime.boundary:
-        half = [t_location(n - 1), t_location(n)]
-    else:
-        half = [t_location(n)]
-    value = negsteep_max_value(alpha, n)
-    for t in half:
+def _closed_form_report(c: Geometric, regime: AlphaRegime, depth: int) -> ExtremaReport:
+    """The maxima report of a deep neg_steep window, from the closed-form table."""
+    smallest, largest, card = extremizers(c.alpha, regime, "max")
+    value = extremum_value(c.alpha, regime, "max")
+    located = {}
+    for t in {smallest, largest}:
         if not scalar_eq(eval_periodic(c, t), value):
             raise AssertionError("orbit evaluation disagrees with closed form at %s" % t)
-    width = Fraction(1, 2**64)
-    vlo, vhi = scalar_enclosure(value, width)
-    trace = step_engine.build_rho(c, "sharp", depth)
-    locs = sorted(set(half) | {1 - t for t in half})
-
-    def loc(t: Fraction, signs) -> step_engine.Location:
-        return step_engine.Location(signs, t, t, Fraction(0))
-
-    prefix = (1,) + (-1,) * (2 * n + 1)
-    signs_small = step_engine.SignSequence(prefix, (len(prefix), (-1, 1, 1, -1)))
-    if step_engine.t_map_fraction(signs_small) != t_location(n):
-        raise AssertionError("window sign pattern does not reproduce t_n")
+        located[t] = step_engine.Location(rademacher_of(t)[0], t, t, Fraction(0))
     return ExtremaReport(
-        kind="max",
-        smallest=loc(half[0], signs_small if not regime.boundary else trace.signs),
-        largest=loc(half[-1], signs_small),
-        value_lo=vlo,
-        value_hi=vhi,
-        cardinality=step_engine.Cardinality.finite(len(locs)),
-        locations=tuple(locs),
-        evidence=trace,
+        "max",
+        located[smallest],
+        located[largest],
+        *scalar_enclosure(value, Fraction(1, 2**64)),
+        card,
+        _reflected((smallest, largest)),
+        step_engine.build_rho(c, "sharp", depth),
     )
 
 
@@ -289,22 +308,8 @@ def minima(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> ExtremaReport:
     """Global minimizers of f_alpha: {1/5, 4/5} on (-2,-1), a dimension-1/2
     perfect set at alpha = -1, and {0, 1} on (-1, 2)."""
     alpha = scalars._as_scalar(alpha)
-    classify_alpha(alpha)  # domain check
-    c = Geometric(alpha)
-    report = _decided(step_engine.classify_extrema(c, "min", depth))
-    s1 = _sign_or_raise(scalar_add(alpha, 1), "alpha + 1")
-    if s1 < 0:
-        if report.cardinality.count != 2 or report.smallest.exact != Fraction(1, 5):
-            raise AssertionError("negative regime should have minimizers {1/5, 4/5}")
-        _assert_value_in(report, minima_value_neg(alpha), "negative-regime minimum")
-    elif s1 == 0:
-        card = report.cardinality
-        if card.kind != "continuum" or card.hausdorff_dim != Fraction(1, 2):
-            raise AssertionError("alpha = -1 should give a dimension-1/2 perfect set")
-    else:
-        if report.cardinality.count != 2 or report.smallest.exact != Fraction(0):
-            raise AssertionError("minimizers should be {0, 1} for alpha > -1")
-    return report
+    regime = classify_alpha(alpha)
+    return _checked(step_engine.classify_extrema(Geometric(alpha), "min", depth), alpha, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +388,9 @@ class TauPoint:
 def tau_point(alpha, depth: int = step_engine.DEFAULT_DEPTH) -> TauPoint:
     alpha = scalars._as_scalar(alpha)
     regime = classify_alpha(alpha)
-    if regime.variant == NEG_STEEP:
-        if regime.boundary:
-            return TauPoint(
-                alpha, t_location(regime.n - 1), t_location(regime.n), True, regime.variant
-            )
-        t = t_location(regime.n)
-        return TauPoint(alpha, t, t, True, regime.variant)
-    if regime.variant == MIDDLE:
-        return TauPoint(alpha, Fraction(1, 2), Fraction(1, 2), True, regime.variant)
-    if regime.variant == POS_STEEP:
-        return TauPoint(alpha, Fraction(1, 3), Fraction(1, 3), True, regime.variant)
+    table = extremizers(alpha, regime, "max")
+    if table is not None:
+        return TauPoint(alpha, table[0], table[1], True, regime.variant)
     c = Geometric(alpha)
     sharp = step_engine.Location.from_trace(step_engine.build_rho(c, "sharp", depth))
     flat = step_engine.Location.from_trace(step_engine.build_rho(c, "flat", depth))

@@ -583,14 +583,12 @@ def _structured_continuum(trace: StepTrace) -> int | None:
 
 
 def _value_near(c, t: Fraction, eps: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of f(t*) given only |t* - t| <= eps.
+    """Enclosure of f(t*) given only |t* - t| <= eps, 0 < eps < 1/2.
 
     |f(t*) - f(t)| <= sum_m |c_m| min(2^m eps, 1/2); the sum is split where
     2^m eps reaches 1/2 and the remainder is absorbed into the l1 tail bound.
     """
     lo, hi = scalar_enclosure(eval_series(c, t, width), width)
-    if eps == 0:
-        return lo, hi
     cut = 0
     pw = Fraction(1)
     while pw * eps < Fraction(1, 2) and cut < 2048:
@@ -602,10 +600,7 @@ def _value_near(c, t: Fraction, eps: Fraction, width: Fraction) -> tuple[Fractio
         clo, chi = scalar_enclosure(cm, Fraction(1, 2**48))
         slack += max(abs(clo), abs(chi)) * pw * eps
         pw *= 2
-    if cut == 0:
-        clo, chi = scalar_enclosure(c.coefficient(0), Fraction(1, 2**48))
-        slack += max(abs(clo), abs(chi)) / 2
-    slack += c.tail_bound(max(cut - 1, 0)) / 2
+    slack += c.tail_bound(cut - 1) / 2
     return lo - slack, hi + slack
 
 

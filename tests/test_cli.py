@@ -293,3 +293,47 @@ def test_algebraic_report_and_eval_digests(capsys):
             outs.append(out)
     digest = hashlib.sha256("".join(outs).encode()).hexdigest()
     assert digest == "69315c105a677170acac4b1cf78301835850fe4e4b3787f77ad66cc817d2e00e"
+
+
+def test_csv_format_is_for_maximize_and_minimize_only(capsys):
+    for argv in (["classify", "--alpha", "1"], ["eval", "--alpha", "1", "--t", "1/3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", "csv"])
+        assert exc.value.code == cli.EXIT_USAGE == 1, argv
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_maximize_csv_and_pretty_continuum(capsys):
+    code, out, _ = run(capsys, "maximize", "--alpha", "1", "--format", "csv")
+    assert code == 0
+    third = "0." + "6" * 29 + "7"
+    assert out.splitlines() == [
+        "kind,smallest,largest,value_lo,value_hi,cardinality,count,dim",
+        "max,1/3,5/12,%s,%s,continuum,,1/2" % (third, third),
+    ]
+    code, out, _ = run(capsys, "maximize", "--alpha", "1")
+    assert code == 0
+    assert "cardinality: continuum; perfect set, block length 2, Hausdorff dimension 1/2\n" in out
+
+
+def test_classify_json(capsys):
+    code, out, _ = run(capsys, "classify", "--alpha=-3/2", "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["regime"], d["window"], d["boundary"]) == ("neg_steep", 1, False)
+    assert [l["exact"] for l in d["maxima"]["locations"]] == ["19/40", "21/40"]
+    assert d["alpha"] == {"type": "rational", "num": "-3", "den": "2"}
+
+
+def test_figure_two_and_three_digests(tmp_path, capsys):
+    # sha256 of the CSVs as written before the closed-form table
+    digests = {
+        "fig2_power_squared.csv": "be7fcf979182d99e744a13c676ca9cca6e2d34e034d196c3564669aa7d604a3e",
+        "fig2_maximizers.csv": "94dfc3e86360b41d26d734671e6d6323b12ae3b398fe7df06b8ca2bc803cf291",
+        "fig3_landsberg_graphs.csv": "6cb43ae0f3ddb5766a8242fff98def4aab4852acb80a7aa3c8970f0d815cd6fc",
+    }
+    for which in ("2", "3"):
+        code, _, _ = run(capsys, "figure", which, "--out-dir", str(tmp_path))
+        assert code == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from takagi import cli
 from takagi import evaluate as ev
 from takagi import landsberg as lb
 from takagi import scalars as sc
@@ -216,6 +217,34 @@ def test_maxima_deep_window_closed_form():
     assert r.smallest.exact == lb.t_location(n)
     direct = ev.eval_periodic(ev.Geometric(sc.rational(F(-101, 100))), r.smallest.exact)
     assert r.value_lo <= direct.value <= r.value_hi
+
+
+def test_beyond_cap_report_matches_the_engine(monkeypatch):
+    # past the engine's depth cap the report is the closed form; forced
+    # through the engine it must agree in every field but the depth
+    for alpha, n in ((F(-501, 500), 274), (F(-1001, 1000), 549)):
+        assert lb.classify_alpha(alpha).n == n and 2 * n + 18 > lb._ENGINE_DEPTH_CAP
+        closed = cli.report_to_dict(lb.maxima(alpha))
+        with monkeypatch.context() as m:
+            m.setattr(lb, "_ENGINE_DEPTH_CAP", 10**6)
+            engine = cli.report_to_dict(lb.maxima(alpha))
+        assert (closed.pop("depth"), engine.pop("depth")) == (64, 2 * n + 18)
+        assert closed == engine
+
+
+def test_engine_reports_are_checked_against_the_table(monkeypatch):
+    # a wrong closed-form value or pair must raise, at a boundary x_n too
+    cases = ((lb.solve_xn(1).root, lb.maxima), (F(-3, 2), lb.minima), (F(3, 2), lb.maxima), (F(-1, 2), lb.minima))
+    value, table = lb.extremum_value, lb.extremizers
+    with monkeypatch.context() as m:
+        m.setattr(lb, "extremum_value", lambda *a: sc.scalar_add(value(*a), F(1, 10**6)))
+        for alpha, extrema in cases:
+            with pytest.raises(AssertionError, match="value"):
+                extrema(alpha)
+    # at x_1 the pair swapped still has the right locations
+    monkeypatch.setattr(lb, "extremizers", lambda *a: (lambda s, l, card: (l, s, card))(*table(*a)))
+    with pytest.raises(AssertionError, match="extremizers"):
+        lb.maxima(cases[0][0])
 
 
 def test_maxima_values_exceed_half_in_negative_regime():
