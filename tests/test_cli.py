@@ -295,6 +295,36 @@ def test_algebraic_report_and_eval_digests(capsys):
     assert digest == "69315c105a677170acac4b1cf78301835850fe4e4b3787f77ad66cc817d2e00e"
 
 
+# every 10th pool root whose maxima report is `unknown`, in the pool's order:
+# their value enclosures come from `step_engine._value_near`
+UNKNOWN_POOL_ROOTS = [
+    "root:1,1,-1,-1,-1:1/2:1",
+    "root:1,-1,1,-1,-1,-1,-1,-1:1/2:1",
+    "root:1,-1,1,1,1,-1,-1,-1,-1:1/2:1",
+    "root:1,-1,1,-1,-1,-1,1,-1:1/2:1",
+    "root:1,-1,-1,-1,1,-1,1,1,1:3/4:1",
+    "root:1,-1,-1,-1,1,-1,-1,-1,-1:1/2:1",
+    "root:1,1,1,-1,-1,-1,1,-1,-1:1/2:1",
+    "root:1,1,-1,-1,-1,-1,-1,1,-1:1/2:1",
+    "root:1,1,-1,-1,-1,-1,-1,1:1/2:1",
+    "root:1,-1,-1,1,-1,-1,1,1,1:3/4:1",
+]
+
+
+def test_unknown_report_digests():
+    # sha256 of the maxima and minima reports, both from one parsed alpha,
+    # as written before the shared algebraic root
+    from takagi import landsberg
+
+    reports = []
+    for spec in UNKNOWN_POOL_ROOTS:
+        alpha = cli.parse_alpha(spec)
+        reports.append([cli.report_to_dict(landsberg.maxima(alpha)), cli.report_to_dict(landsberg.minima(alpha))])
+    assert [r[0]["cardinality"]["kind"] for r in reports] == ["unknown"] * 10
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "244c540c06496f1c2f1bc21b55b304d32692d4b28f0364a6570b71aa3c570170"
+
+
 def test_csv_format_is_for_maximize_and_minimize_only(capsys):
     for argv in (["classify", "--alpha", "1"], ["eval", "--alpha", "1", "--t", "1/3"]):
         with pytest.raises(SystemExit) as exc:
