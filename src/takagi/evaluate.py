@@ -291,11 +291,8 @@ class FiniteSupport(CoefficientSequence):
         return RationalScalar(Fraction(0))
 
     def tail_bound(self, n: int) -> Fraction:
-        total = Fraction(0)
-        for m in range(n + 1, len(self.values)):
-            lo, hi = scalar_enclosure(self.values[m], Fraction(1, 2**72))
-            total += max(abs(lo), abs(hi))
-        return total
+        bounds = scalars.enclosures(self.values[n + 1 :], Fraction(1, 2**72))
+        return sum((max(abs(lo), abs(hi)) for lo, hi in bounds), Fraction(0))
 
     def support_end(self) -> int:
         return len(self.values) - 1

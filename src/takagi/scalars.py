@@ -12,8 +12,8 @@ either exact or explicitly unresolved.  Three variants:
   `_canonical`.  Its sign is `intpoly.root_sign`, the kernel the step test
   and the step engine call: exact, zero by a polynomial gcd test against
   the defining polynomial, nonzero by interval refinement (which must
-  terminate once zero is excluded).  Enclosures and `refine` bisect with
-  `intpoly.refine_bracket`, so one walker serves every algebraic root.
+  terminate once zero is excluded).  Every query bisects with one walker,
+  `intpoly.refine_bracket`, and only narrows the number's shared `_Root`.
 * ``IntervalScalar`` -- a rational enclosure with an optional refinement hook
   ``refine_fn(bits)``; the only variant whose sign can come back unresolved.
 
@@ -29,11 +29,11 @@ enclosure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import intpoly
 from .intpoly import IntPoly
@@ -81,6 +81,34 @@ class RationalScalar:
         return f"RationalScalar({self.value})"
 
 
+class _Root:
+    """The root alpha of one algebraic number, shared by every scalar on it: `poly`, squarefree
+    with alpha its only root in the base bracket (A0, B0, D0), and `deep`, the deepest bracket
+    bisecting the base has reached (depth k is over D0 2^k; a midpoint that is alpha ends it as
+    the exact (M, M, D)).  Sign and enclosure queries, `refine` and the step engine's prefix
+    sums start from `deep` and only narrow it."""
+
+    def __init__(self, poly: IntPoly, base: intpoly.Bracket):
+        self.poly, self.base, self.deep = poly, base, base
+
+    def at(self, k: int) -> intpoly.Bracket:
+        """The base halved k times toward alpha: `deep` read back by shifts, or narrowed to it."""
+        (A0, B0, D0), deep = self.base, self.deep
+        w, e = B0 - A0, (deep[2] // D0).bit_length() - 1
+        if k >= e:
+            if k > e and deep[0] < deep[1]:
+                self.deep = deep = intpoly.refine_bracket(self.poly, deep, Fraction(w, D0 << k))
+            return deep
+        lo = (A0 << k) + (deep[0] - (A0 << e)) // (w << (e - k)) * w
+        return lo, lo + w, D0 << k
+
+    def keep(self, sign: int, bracket: intpoly.Bracket) -> int:
+        """`intpoly.root_sign`'s answer; its bracket becomes `deep` unless 0 (zero tests would narrow forever)."""
+        if sign:
+            self.deep = bracket
+        return sign
+
+
 @dataclass(frozen=True)
 class AlgebraicScalar:
     """Value ``v(alpha)`` for the unique root ``alpha`` of ``poly`` in (lo, hi).
@@ -88,7 +116,9 @@ class AlgebraicScalar:
     ``v = V/den`` with ``nums`` the integer coefficients of V (ascending) and
     ``den > 0``, canonical: V is reduced mod ``poly`` with no trailing zeros
     (zero is ``()``) and gcd(den, V) = 1.  ``poly`` is primitive and
-    squarefree; neither endpoint is a root.
+    squarefree; neither endpoint is a root.  ``root`` is alpha's `_Root`,
+    passed on by every operation that keeps alpha and (lo, hi), fresh when
+    not given; equality, hash and repr ignore it.
     """
 
     poly: IntPoly
@@ -96,6 +126,10 @@ class AlgebraicScalar:
     hi: Fraction
     nums: tuple[int, ...]
     den: int
+    root: _Root = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "root", self.root or _Root(self.poly, intpoly.to_bracket(self.lo, self.hi)))
 
     @property
     def value(self) -> tuple[Fraction, ...]:
@@ -105,9 +139,6 @@ class AlgebraicScalar:
     def is_base_root(self) -> bool:
         """Whether v(alpha) is alpha itself, as an untransformed ``algebraic(...)`` is."""
         return self.nums == (0, 1) and self.den == 1
-
-    def base_key(self) -> tuple:
-        return (self.poly, self.lo, self.hi)
 
     def __repr__(self) -> str:
         return f"AlgebraicScalar(poly={self.poly}, ({self.lo}, {self.hi}), value={self.value})"
@@ -205,11 +236,16 @@ def _reduce_int(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[list[int]
     return v, den
 
 
-def _canonical(poly: IntPoly, lo: Fraction, hi: Fraction, nums: Sequence[int], den: int) -> AlgebraicScalar:
+def _canonical(poly: IntPoly, lo: Fraction, hi: Fraction, nums: Sequence[int], den: int, root=None) -> AlgebraicScalar:
     """The scalar nums/den at the root of `poly` in (lo, hi), reduced mod poly and in lowest terms."""
     v, den = _reduce_int(nums, den, poly)
     g = math.gcd(den, *v)
-    return AlgebraicScalar(poly, lo, hi, tuple(x // g for x in v), den // g)
+    return AlgebraicScalar(poly, lo, hi, tuple(x // g for x in v), den // g, root)
+
+
+def _on(a: AlgebraicScalar, nums: Sequence[int], den: int, poly: IntPoly | None = None) -> AlgebraicScalar:
+    """nums/den at a's root, canonical, sharing a's `_Root` (reduced mod `poly` if given)."""
+    return _canonical(poly or a.poly, a.lo, a.hi, nums, den, a.root)
 
 
 def _combine(a: Sequence[int], s: int, b: Sequence[int], t: int) -> list[int]:
@@ -228,62 +264,52 @@ def _clear_denominators(vec: tuple[Fraction, ...]) -> tuple[IntPoly, int]:
     return intpoly.normalize([c.numerator * (lcm // c.denominator) for c in vec]), lcm
 
 
-def _alg_bounds(a: AlgebraicScalar, bracket: intpoly.Bracket) -> tuple[Fraction, Fraction]:
-    """Enclosure of v(alpha) by interval Horner over a bracket of alpha; exact on (M, M, D).
-
-    Scaling V by the positive den * D^deg V keeps min and max, so these are
-    exactly the bounds of Fraction interval Horner, which is
-    inclusion-monotone: over nested brackets the enclosures are nested.
-    """
+def _alg_bounds(a: AlgebraicScalar, bracket: intpoly.Bracket) -> tuple[int, int, int]:
+    """(vlo, vhi, s) with v(alpha) in [vlo/s, vhi/s] by interval Horner over a bracket of alpha,
+    exact on (M, M, D).  s = den D^deg > 0 keeps min and max, so these are the bounds of Fraction
+    interval Horner, which is inclusion-monotone: over nested brackets they are nested."""
     vlo, vhi = intpoly.eval_interval_scaled(a.nums, *bracket)
-    scale = a.den * bracket[2] ** max(intpoly.degree(a.nums), 0)
-    return Fraction(vlo, scale), Fraction(vhi, scale)
+    return vlo, vhi, a.den * bracket[2] ** max(intpoly.degree(a.nums), 0)
 
 
 def _alg_sign(a: AlgebraicScalar) -> int:
     # the sign of poly at lo holds on every bracket of alpha the query narrows to
-    return intpoly.root_sign(a.nums, a.poly, intpoly.to_bracket(a.lo, a.hi), intpoly.sign_at(a.poly, a.lo))[0]
+    return a.root.keep(*intpoly.root_sign(a.nums, a.poly, a.root.deep, intpoly.sign_at(a.poly, a.lo)))
 
 
-def _alg_enclosure(a: AlgebraicScalar, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bounds at the first bisection depth whose value width is <= `width`.
+def _alg_enclosure(a: AlgebraicScalar, width: Fraction, depth: int = 0) -> tuple[tuple[Fraction, Fraction], int]:
+    """Bounds at the first bisection depth whose value width is <= `width`, and that depth.
 
-    The width never grows with depth, so a gallop over depths 0, 4, 8, 16,
-    ... and then a binary search over depth find the depth that bisecting
-    one step at a time finds.  `refine_bracket` walks the gallop, and only
-    the deepest bracket is kept: the base bracket (A0, B0, D0) halved k
-    times toward the root is read from it by integer shifts, and a midpoint
-    root (M, M, D) is exact at its own depth and deeper.  A width <= 0 is
-    out of reach and a ValueError, before any bisection.
-    """
+    The enclosures are nested (`_alg_bounds`): the width never grows with depth, so a search
+    from any start `depth` finds the same first depth.  Probes read brackets from a's `_Root`,
+    narrowing it, and compare widths in integers.  A width <= 0 is a ValueError before any
+    bisection, and a first depth past _REFINE_STEP_LIMIT a PrecisionError."""
     if width <= 0:
         raise ValueError("enclosure width %s is not positive" % _show(width))
-    A0, B0, D0 = deep = intpoly.to_bracket(a.lo, a.hi)
-    slo = intpoly.sign_at(a.poly, a.lo)
-    w, e = B0 - A0, 0  # deep is the bracket at depth e
 
-    def bounds(k: int) -> tuple[Fraction, Fraction]:
-        if k >= e:
-            return _alg_bounds(a, deep)
-        j = (deep[0] - (A0 << e)) // (w << (e - k))
-        lo = (A0 << k) + j * w
-        return _alg_bounds(a, (lo, lo + w, D0 << k))
+    def probe(k: int) -> tuple[bool, tuple[int, int, int]]:
+        vlo, vhi, scale = b = _alg_bounds(a, a.root.at(k))
+        return (vhi - vlo) * width.denominator <= width.numerator * scale, b
 
-    failed, depth = -1, 0
-    while (b := bounds(depth))[1] - b[0] > width:
-        failed, depth = depth, max(4, 2 * depth)
-        if depth > _REFINE_STEP_LIMIT:
+    fits, best = probe(depth)
+    failed, step = depth, 1
+    while fits and depth and (up := probe(depth - 1))[0]:
+        depth, best = depth - 1, up[1]
+    # else gallop from the start, which does not fit, then bisect between failed and fitting depths
+    while not fits or depth - failed > 1:
+        if fits:
+            k = (failed + depth) // 2
+        elif failed >= _REFINE_STEP_LIMIT:
             raise PrecisionError("width %s needs bisection past depth %d" % (_show(width), _REFINE_STEP_LIMIT))
-        deep = intpoly.refine_bracket(a.poly, deep, Fraction(w, D0 << depth), slo)
-        e = (deep[2] // D0).bit_length() - 1
-    while depth - failed > 1:
-        mid = (failed + depth) // 2
-        bm = bounds(mid)
-        if bm[1] - bm[0] <= width:
-            depth, b = mid, bm
         else:
-            failed = mid
-    return b
+            k, step = min(failed + step, _REFINE_STEP_LIMIT), 2 * step
+        ok, b = probe(k)
+        if ok:
+            fits, depth, best = True, k, b
+        else:
+            failed = k
+    vlo, vhi, scale = best
+    return (Fraction(vlo, scale), Fraction(vhi, scale)), depth
 
 
 def _alg_localize(a: AlgebraicScalar, offender: IntPoly) -> AlgebraicScalar:
@@ -296,10 +322,9 @@ def _alg_localize(a: AlgebraicScalar, offender: IntPoly) -> AlgebraicScalar:
     g = intpoly.poly_gcd(a.poly, offender)
     if intpoly.degree(g) < 1:
         return a
-    if intpoly.has_root(g, intpoly.to_bracket(a.lo, a.hi)):
+    if intpoly.has_root(g, a.root.base):
         raise ZeroDivisionError("scalar inverse of zero value")
-    q = intpoly.squarefree_part(intpoly.exact_div(a.poly, g))
-    return _canonical(q, a.lo, a.hi, a.nums, a.den)
+    return _on(a, a.nums, a.den, intpoly.squarefree_part(intpoly.exact_div(a.poly, g)))
 
 
 def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
@@ -331,7 +356,7 @@ def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
     y = [0] * n
     for i in reversed(range(n)):
         y[i] = (d * rows[i][n] - sum(rows[i][j] * y[j] for j in range(i + 1, n))) // rows[i][i]
-    return _canonical(a.poly, a.lo, a.hi, [e * yk for e, yk in zip(scales, y)], d)
+    return _on(a, [e * yk for e, yk in zip(scales, y)], d)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +382,15 @@ def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
     the root there (e.g. one was localized during inversion): both reduce mod
     the gcd, which still isolates the same root.  Returns None if impossible.
     """
-    if a.base_key() == b.base_key():
+    if (a.poly, a.lo, a.hi) == (b.poly, b.lo, b.hi):
         return a, b
     if (a.lo, a.hi) != (b.lo, b.hi):
         return None
     g = intpoly.poly_gcd(a.poly, b.poly)
-    if not intpoly.has_root(g, intpoly.to_bracket(a.lo, a.hi)):
+    if not intpoly.has_root(g, a.root.base):
         return None
     g = intpoly.squarefree_part(g)
-    return _canonical(g, a.lo, a.hi, a.nums, a.den), _canonical(g, b.lo, b.hi, b.nums, b.den)
+    return _on(a, a.nums, a.den, g), _on(b, b.nums, b.den, g)
 
 
 def _as_scalar(x) -> Scalar:
@@ -382,8 +407,9 @@ def _bounds_at(a: Scalar, bits: int | None) -> tuple[Fraction, Fraction]:
         return a.value, a.value
     if isinstance(a, AlgebraicScalar):
         if bits is None:
-            return _alg_bounds(a, intpoly.to_bracket(a.lo, a.hi))
-        return _alg_enclosure(a, Fraction(1, 1 << bits))
+            vlo, vhi, scale = _alg_bounds(a, a.root.base)
+            return Fraction(vlo, scale), Fraction(vhi, scale)
+        return _alg_enclosure(a, Fraction(1, 1 << bits))[0]
     if bits is None or a.refine_fn is None:
         return a.lo, a.hi
     lo, hi = a.refine_fn(bits)
@@ -480,7 +506,7 @@ def _enclose(a: Scalar, width: Fraction | None, rounds: int = _ENCLOSE_ROUNDS, d
     if isinstance(a, RationalScalar):
         return a.value, a.value
     if isinstance(a, AlgebraicScalar):
-        return _alg_enclosure(a, width)
+        return _alg_enclosure(a, width)[0]
     bits = DEFAULT_PRECISION_BITS if width is None else max(DEFAULT_PRECISION_BITS, _width_bits(width) + 8)
     lo, hi = a.lo, a.hi
     for k in range(rounds if a.refine_fn is not None else 0):
@@ -510,14 +536,14 @@ def scalar_add(a, b) -> Scalar:
         return RationalScalar(a.value + b.value)
     if isinstance(a, AlgebraicScalar) and isinstance(b, RationalScalar):
         p, q = b.value.numerator, b.value.denominator
-        return _canonical(a.poly, a.lo, a.hi, _combine(a.nums, q, (p,), a.den), a.den * q)
+        return _on(a, _combine(a.nums, q, (p,), a.den), a.den * q)
     if isinstance(a, RationalScalar) and isinstance(b, AlgebraicScalar):
         return scalar_add(b, a)
     if isinstance(a, AlgebraicScalar) and isinstance(b, AlgebraicScalar):
         unified = _try_unify(a, b)
         if unified is not None:
             ua, ub = unified
-            return _canonical(ua.poly, ua.lo, ua.hi, _combine(ua.nums, ub.den, ub.nums, ua.den), ua.den * ub.den)
+            return _on(ua, _combine(ua.nums, ub.den, ub.nums, ua.den), ua.den * ub.den)
     return _ball(lambda bits, x, y: (x[0] + y[0], x[1] + y[1]), a, b)
 
 
@@ -526,7 +552,7 @@ def scalar_neg(a) -> Scalar:
     if isinstance(a, RationalScalar):
         return RationalScalar(-a.value)
     if isinstance(a, AlgebraicScalar):
-        return _canonical(a.poly, a.lo, a.hi, [-x for x in a.nums], a.den)
+        return _on(a, [-x for x in a.nums], a.den)
     return _ball(lambda bits, x: (-x[1], -x[0]), a)
 
 
@@ -540,14 +566,14 @@ def scalar_mul(a, b) -> Scalar:
         return RationalScalar(a.value * b.value)
     if isinstance(a, AlgebraicScalar) and isinstance(b, RationalScalar):
         p, q = b.value.numerator, b.value.denominator
-        return _canonical(a.poly, a.lo, a.hi, [p * x for x in a.nums], a.den * q)
+        return _on(a, [p * x for x in a.nums], a.den * q)
     if isinstance(a, RationalScalar) and isinstance(b, AlgebraicScalar):
         return scalar_mul(b, a)
     if isinstance(a, AlgebraicScalar) and isinstance(b, AlgebraicScalar):
         unified = _try_unify(a, b)
         if unified is not None:
             ua, ub = unified
-            return _canonical(ua.poly, ua.lo, ua.hi, intpoly.mul(ua.nums, ub.nums), ua.den * ub.den)
+            return _on(ua, intpoly.mul(ua.nums, ub.nums), ua.den * ub.den)
     return _ball(_mul_rule, a, b)
 
 
@@ -610,10 +636,10 @@ def eval_int_poly(p: Sequence[int], a) -> Scalar:
     if isinstance(a, RationalScalar):
         return RationalScalar(intpoly.eval_fraction(coeffs, a.value))
     if isinstance(a, AlgebraicScalar):
-        acc = _canonical(a.poly, a.lo, a.hi, coeffs[-1:], 1)
+        acc = _on(a, coeffs[-1:], 1)
         for c in reversed(coeffs[:-1]):
             den = acc.den * a.den
-            acc = _canonical(a.poly, a.lo, a.hi, _combine(intpoly.mul(acc.nums, a.nums), 1, (c,), den), den)
+            acc = _on(a, _combine(intpoly.mul(acc.nums, a.nums), 1, (c,), den), den)
         return acc
     return _ball(partial(_horner_rule, coeffs), a)
 
@@ -643,6 +669,18 @@ def scalar_enclosure(a, width) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def enclosures(xs: Iterable, width) -> Iterator[tuple[Fraction, Fraction]]:
+    """`scalar_enclosure(x, width)` for each x in turn; an algebraic x's depth search starts
+    where the one before it ended, as a sequence's coefficients need about the same depth."""
+    width, depth = Fraction(width), 0
+    for x in xs:
+        if isinstance(x, AlgebraicScalar):
+            bounds, depth = _alg_enclosure(x, width, depth)
+            yield bounds
+        else:
+            yield (x.value, x.value) if isinstance(x, RationalScalar) else scalar_enclosure(x, width)
+
+
 def refine(a, width) -> Scalar:
     """Narrow enclosures below `width`; exact scalars pass through unchanged."""
     a = _as_scalar(a)
@@ -650,8 +688,11 @@ def refine(a, width) -> Scalar:
     if isinstance(a, RationalScalar):
         return a
     if isinstance(a, AlgebraicScalar):
-        # the first bisection bracket of width <= width, or the root if a midpoint hits it
-        A, B, D = intpoly.refine_bracket(a.poly, intpoly.to_bracket(a.lo, a.hi), width)
+        if width <= 0:
+            raise ValueError("refine width %s is not positive" % _show(width))
+        # the first depth k with (B0 - A0) / (D0 2^k) <= width, or alpha if a midpoint hits it first
+        A0, B0, D0 = a.root.base
+        A, B, D = a.root.at((-(-(B0 - A0) * width.denominator // (width.numerator * D0)) - 1).bit_length())
         if A == B:
             return _at_rational(Fraction(A, D), a.nums, a.den)
         return AlgebraicScalar(a.poly, Fraction(A, D), Fraction(B, D), a.nums, a.den)

@@ -197,25 +197,26 @@ class _PrefixSums(Sequence):
     """Partial sums S_n = sum_{m<=n} rho_m alpha^m of a Geometric sequence, in integers.
 
     alpha is rational or algebraic: alpha = V(theta)/L for the root theta of
-    the squarefree `poly` in `bracket`, with V and L alpha's own `nums` and
+    the squarefree `poly` held by `root`, with V and L alpha's own `nums` and
     `den` (a rational a/q is V = a, L = q, poly qx - a and the exact bracket
     (a, a, q)).  S_n = N_n(theta)/E_n with N_n
     an integer vector reduced mod poly and E_n > 0; the power
     alpha^n = W_n(theta)/E_n is W_{n-1} V / (E_{n-1} L) reduced, one vector
     product a term, so N_n = f_n N_{n-1} + rho_n W_n with E_n = f_n E_{n-1}.
-    Every sign is `intpoly.root_sign` of an integer vector on one bracket of
-    theta, kept and narrowed for the object's life.  Indexing builds S_n as
-    the canonical Scalar, the one that summing the weights as Scalars gives.
+    Every sign is `intpoly.root_sign` of an integer vector on the deepest
+    bracket of alpha's shared `scalars._Root`, which it narrows for every
+    scalar on theta.  Indexing builds S_n as the canonical Scalar on that
+    root, the one that summing the weights as Scalars gives.
     """
 
     def __init__(self, alpha: Scalar):
         self.alpha = alpha
         if isinstance(alpha, RationalScalar):
             a, q = alpha.value.numerator, alpha.value.denominator
-            self.poly, self.bracket, self.v, self.l = (-a, q), (a, a, q), intpoly.normalize((a,)), q
+            self.poly, self.v, self.l = (-a, q), intpoly.normalize((a,)), q
+            self.root = scalars._Root(self.poly, (a, a, q))
         else:
-            self.poly, self.bracket = alpha.poly, intpoly.to_bracket(alpha.lo, alpha.hi)
-            self.v, self.l = alpha.nums, alpha.den
+            self.poly, self.root, self.v, self.l = alpha.poly, alpha.root, alpha.nums, alpha.den
         self.powers = [[1]]  # W_n
         self.nums = [[1]]  # N_n
         self.dens = [1]  # E_n
@@ -228,8 +229,7 @@ class _PrefixSums(Sequence):
         self.nums.append([f * x + choice * y for x, y in zip_longest(self.nums[-1], w, fillvalue=0)])
 
     def root_sign(self, vec) -> int:
-        s, self.bracket = intpoly.root_sign(vec, self.poly, self.bracket)
-        return s
+        return self.root.keep(*intpoly.root_sign(vec, self.poly, self.root.deep))
 
     def sign(self, n: int) -> int:
         return self.root_sign(self.nums[n])
@@ -265,7 +265,7 @@ class _PrefixSums(Sequence):
         if n == 0 or isinstance(self.alpha, RationalScalar):
             nums = self.nums[n]
             return RationalScalar(Fraction(nums[0] if nums else 0, self.dens[n]))
-        return scalars._canonical(self.alpha.poly, self.alpha.lo, self.alpha.hi, self.nums[n], self.dens[n])
+        return scalars._on(self.alpha, self.nums[n], self.dens[n])
 
 
 def _flat(s: Scalar, width: Fraction) -> Scalar:
@@ -589,17 +589,9 @@ def _value_near(c, t: Fraction, eps: Fraction, width: Fraction) -> tuple[Fractio
     2^m eps reaches 1/2 and the remainder is absorbed into the l1 tail bound.
     """
     lo, hi = scalar_enclosure(eval_series(c, t, width), width)
-    cut = 0
-    pw = Fraction(1)
-    while pw * eps < Fraction(1, 2) and cut < 2048:
-        pw *= 2
-        cut += 1
-    slack = Fraction(0)
-    pw = Fraction(1)
-    for cm in islice(c.coefficients(), cut):
-        clo, chi = scalar_enclosure(cm, Fraction(1, 2**48))
-        slack += max(abs(clo), abs(chi)) * pw * eps
-        pw *= 2
+    cut = min(2048, scalars._width_bits(2 * eps))  # the least cut with 2^cut eps >= 1/2
+    bounds = scalars.enclosures(islice(c.coefficients(), cut), Fraction(1, 2**48))
+    slack = eps * sum(max(abs(clo), abs(chi)) * 2**m for m, (clo, chi) in enumerate(bounds))
     slack += c.tail_bound(cut - 1) / 2
     return lo - slack, hi + slack
 

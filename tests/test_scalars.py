@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -424,3 +425,100 @@ def test_unreachable_width_ends_after_a_round_that_does_not_halve():
     assert len(calls) == 2
     lo, hi = sc.scalar_enclosure(total, F(1, 10**29))
     assert hi - lo <= F(1, 10**29) and len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# one shared root per algebraic number
+
+
+POOL_SPECS = [
+    s
+    for s in (Path(__file__).resolve().parents[1] / "bench" / "alpha_pool_order.txt").read_text().split("\n")
+    if s and not s.startswith("#")
+]
+
+
+def _family(alpha, which):
+    """alpha^m (m <= 40), alpha/2 or 1 - alpha: scalars on alpha's root."""
+    if which == "half":
+        return sc.scalar_mul(alpha, F(1, 2))
+    if which == "one_minus":
+        return sc.scalar_sub(1, alpha)
+    return sc.scalar_pow(alpha, which)
+
+
+shared_root_queries = st.lists(
+    st.tuples(
+        st.sampled_from(["sign", "enclosure", "refine"]),
+        st.one_of(st.integers(0, 40), st.sampled_from(["half", "one_minus"])),
+        st.one_of(st.integers(1, 90).map(lambda k: F(1, 2**k)), st.integers(0, 27).map(lambda k: F(1, 10**k))),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(POOL_SPECS), shared_root_queries, st.randoms(use_true_random=False))
+def test_shared_root_answers_match_fresh_scalars(spec, queries, rnd):
+    # queries on one parsed alpha narrow the root its family shares; each
+    # answer must be the one a freshly parsed scalar and stepwise bisection give
+    from takagi.cli import parse_alpha
+
+    alpha = parse_alpha(spec)
+    assert isinstance(alpha, sc.AlgebraicScalar)
+    rnd.shuffle(queries)
+    shared = {}
+    for kind, which, w in queries:
+        x = shared.setdefault(which, _family(alpha, which))
+        fresh = _family(parse_alpha(spec), which)
+        assert x == fresh and (isinstance(x, sc.RationalScalar) or x.root is alpha.root)
+        if kind == "sign":
+            assert sc.scalar_sign(x) == sc.scalar_sign(fresh)
+            if isinstance(x, sc.AlgebraicScalar):
+                assert sc.scalar_sign(x).sign == _ref_sign(x)
+        elif kind == "enclosure":
+            got = sc.scalar_enclosure(x, w)
+            assert got == sc.scalar_enclosure(fresh, w)
+            if isinstance(x, sc.AlgebraicScalar):
+                assert got == _ref_enclosure(x, w)
+        else:
+            got = sc.refine(x, w)
+            assert got == sc.refine(fresh, w)
+            if isinstance(got, sc.RationalScalar):
+                assert isinstance(x, sc.RationalScalar) or _ref_refine(x, w) == ("root", got.value)
+            else:
+                assert _ref_refine(x, w) == ("bracket", (got.lo, got.hi))
+    xs = [shared[which] for _, which, _ in queries]
+    w = queries[0][2]
+    assert list(sc.enclosures(xs, w)) == [sc.scalar_enclosure(_family(parse_alpha(spec), which), w) for _, which, _ in queries]
+
+
+@pytest.mark.parametrize("spec", ["root:1,1,-1,-1,-1:1/2:1", "root:1,-1,-1:1/2:1", "root:1,-1,-1,1,-1:1/2:1"])
+def test_maxima_on_a_narrowed_root_matches_a_fresh_one(spec):
+    from takagi import cli, landsberg
+
+    narrowed = cli.parse_alpha(spec)
+    sc.scalar_enclosure(narrowed, F(1, 2**300))
+    assert narrowed.root.deep[2] >= narrowed.root.base[2] << 300
+    fresh = cli.parse_alpha(spec)
+    assert cli.report_to_dict(landsberg.maxima(narrowed)) == cli.report_to_dict(landsberg.maxima(fresh))
+
+
+def test_unknown_maxima_takes_few_bisection_steps(monkeypatch):
+    # the reported enclosures of c_m = (alpha/2)^m in `_value_near` share
+    # alpha's root: one walk of its bracket, not one per coefficient
+    from takagi import cli, landsberg
+
+    calls = {"refine_bracket": 0, "sign_at_scaled": 0}
+    for name in calls:
+        kernel = getattr(ip, name)
+
+        def counted(*args, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(ip, name, counted)
+    report = landsberg.maxima(cli.parse_alpha("root:1,1,-1,-1,-1:1/2:1"))
+    assert report.cardinality.kind == "unknown"
+    assert calls["refine_bracket"] <= 60 and calls["sign_at_scaled"] <= 800
