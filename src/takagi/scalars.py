@@ -126,7 +126,7 @@ class AlgebraicScalar:
     hi: Fraction
     nums: tuple[int, ...]
     den: int
-    root: _Root = field(default=None, compare=False, repr=False)
+    root: _Root | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "root", self.root or _Root(self.poly, intpoly.to_bracket(self.lo, self.hi)))

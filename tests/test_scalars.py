@@ -522,3 +522,18 @@ def test_unknown_maxima_takes_few_bisection_steps(monkeypatch):
     report = landsberg.maxima(cli.parse_alpha("root:1,1,-1,-1,-1:1/2:1"))
     assert report.cardinality.kind == "unknown"
     assert calls["refine_bracket"] <= 60 and calls["sign_at_scaled"] <= 800
+
+
+def test_zero_sign_queries_do_not_deepen_the_shared_root():
+    # x^2 - 2 vanishes at sqrt2 but is no multiple of (x^2 - 2)(x - 3): each
+    # sign query ends in the gcd zero test after narrowing 2^5-fold, and a
+    # root that kept those brackets would narrow without end over repeats
+    p = ip.mul((-2, 0, 1), (-3, 1))
+    zero = sc.algebraic(p, 1, 2, [-2, 0, 1])
+    assert isinstance(zero, sc.AlgebraicScalar) and zero.nums
+    base = zero.root.deep
+    assert all(sc.scalar_sign(zero).sign == 0 for _ in range(50))
+    assert zero.root.deep == base
+    # a nonzero answer keeps the bracket that decided it
+    near = sc.scalar_sub(sc.algebraic(p, 1, 2), F(1414213562, 10**9))
+    assert sc.scalar_sign(near).sign == 1 and near.root.deep[2] > near.root.base[2] << 20
