@@ -1,5 +1,6 @@
 """Function evaluation, Rademacher expansions, and their round trips."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -536,3 +537,47 @@ def test_empty_and_one_sign_prefixes_are_insufficient():
     for signs in ((), (1,)):
         with pytest.raises(ev.InsufficientPrefixError):
             ev.eval_from_rademacher(ev.PowerSquared(), ev.SignSequence(signs), F(1, 8))
+
+
+def _bounds_digest(enclosures):
+    """sha256 of each enclosure's (lo, hi) numerators and denominators, in hex."""
+    h = hashlib.sha256()
+    for e in enclosures:
+        h.update(b"%x/%x %x/%x;" % (e.lo.numerator, e.lo.denominator, e.hi.numerator, e.hi.denominator))
+    return h.hexdigest()
+
+
+# the seed-0 points of the benchmark's series-eval workload
+SERIES_EVAL_POINTS = [F(s) for s in "49/61 54/97 6/115 67/147 131/177 125/223 208/259 245/291 184/327 299/365 112/397".split()]
+
+
+def _power_squared_pair(t):
+    c = ev.PowerSquared()
+    return [ev.eval_series(c, t, F(1, 10**12)), ev.eval_from_rademacher(c, ev.rademacher_of(t)[0], F(1, 2**10))]
+
+
+PINNED_SERIES_CASES = {
+    "power-squared at the series-eval points": lambda: [e for t in SERIES_EVAL_POINTS for e in _power_squared_pair(t)],
+    "power-squared at 11/37": lambda: _power_squared_pair(F(11, 37)),
+    "power-squared at 157/389": lambda: [ev.eval_series(ev.PowerSquared(), F(157, 389), F(1, 10**12))],
+    # no residue-class tails: the rounded prefix over 2^15 rational terms
+    "custom 1/(m+1)^2 at 11/37": lambda: [
+        ev.eval_series(ev.Custom(lambda m: F(1, (m + 1) ** 2), lambda n: F(1, n + 1)), F(11, 37), F(1, 2**14))
+    ],
+    # algebraic terms through the rounded prefix
+    "sqrt2 geometric at 1/3": lambda: [ev.eval_from_rademacher(geometric(SQRT2), ev.rademacher_of(F(1, 3))[0], F(1, 2**20))],
+}
+
+# exact bounds as first computed by the kernel that read each coefficient as a Scalar
+SERIES_BOUND_DIGESTS = {
+    "power-squared at the series-eval points": "a5ba2d32a73f262ce6ca3f3cdecc63c5322b8b48c51639e5e67a9d36fb0f5e24",
+    "power-squared at 11/37": "0ca5ef707a626c10f37be692288c4663c0d84514e43e960db0b8f63755919d96",
+    "power-squared at 157/389": "c01d73f7ee55394432f7efe482b77cc81099b7016166ed876320099b0f71cba7",
+    "custom 1/(m+1)^2 at 11/37": "ec5ae1ab997fb01535b7dcda8dafd72be7c45052d2786fb4145778fdc96c22cb",
+    "sqrt2 geometric at 1/3": "08bf8e37d6ed230d460e8b1a7de86b652948aa7aadfadad88a334f574a3c36ac",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_BOUND_DIGESTS))
+def test_series_bounds_are_pinned(case):
+    assert _bounds_digest(PINNED_SERIES_CASES[case]()) == SERIES_BOUND_DIGESTS[case]
