@@ -15,8 +15,9 @@ kernel, `_periodic_bounds` over the rounded prefix `_dyadic_prefix_bounds`,
 encloses c_m summed against an eventually periodic factor, be it tent values
 or the Rademacher form's (1 - rho_m A_m)/4.  The factors reach it as integer
 numerators over one denominator (t's for tents, 4 (2^p - 1) 2^(start+p) or a
-power of two for Rademacher factors), and its two sums are integers over
-2^bits: one floor division per term, and no Fraction built per term.
+power of two for Rademacher factors), the coefficients as the integer pairs
+of `coefficient_bounds`, and its two sums are integers over 2^bits: one floor
+division per term, and no Fraction or Scalar built per term for PowerSquared.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice, repeat, takewhile
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
@@ -170,6 +171,13 @@ class CoefficientSequence(ABC):
         """c_0, c_1, ... in order, for callers that sum consecutive terms."""
         return map(self.coefficient, count())
 
+    def coefficient_bounds(self, width: Fraction) -> Iterator[tuple[int, int, int, int]]:
+        """Integers (lo_num, lo_den, hi_num, hi_den), both dens > 0, enclosing c_0, c_1, ...:
+        by default `scalars.enclosures` of width <= width, a rational c_m its own value
+        twice.  The rounded prefix reads nothing else; a subclass may yield unreduced pairs."""
+        for lo, hi in scalars.enclosures(self.coefficients(), width):
+            yield lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
     def weight(self, m: int) -> Scalar:
         """2^m c_m, the slope increment used by the step recursion."""
         return scalar_mul(self.coefficient(m), Fraction(2**m))
@@ -257,6 +265,12 @@ class PowerSquared(CoefficientSequence):
 
     def coefficient(self, m: int) -> RationalScalar:
         return RationalScalar(Fraction(1, (m + 1) ** 2))
+
+    def coefficient_bounds(self, width: Fraction) -> Iterator[tuple[int, int, int, int]]:
+        # exact, from the running integer m + 1: no Scalar a term
+        for k in count(1):
+            square = k * k
+            yield 1, square, 1, square
 
     def tail_bound(self, n: int) -> Fraction:
         # sum_{m>n} 1/(m+1)^2 < integral_{n+1}^inf dx/x^2 = 1/(n+1)
@@ -436,27 +450,23 @@ def _dyadic_prefix_bounds(
 ) -> tuple[Fraction, Fraction]:
     """Enclosure of sum_{m<=n} c_m F_m from integer enclosures 0 <= lo <= den F_m <= hi.
 
-    Each term is rounded outward to a multiple of 2^-bits by one floor (or
-    ceiling) division of integer products, and both sums are kept as integers
-    over 2^bits.  The floor of an unreduced ratio is that of the reduced one,
-    so the bounds are those of rounding every rational term c_m F_m.
+    The coefficients come only from `c.coefficient_bounds(2^-bits)`.  Each term
+    is rounded outward to a multiple of 2^-bits by one floor (or ceiling)
+    division of integer products, and both sums are kept as integers over
+    2^bits.  The floor of x/y (y > 0) depends only on the rational x/y, so an
+    unreduced coefficient pair gives the bound of the reduced term c_m F_m.
+    Factors that end early count as 0.
     """
     bits = _bits_for(width / (2 * (n + 2)))
-    eps = Fraction(1, 1 << bits)
+    bounds = c.coefficient_bounds(Fraction(1, 1 << bits))
     lo = hi = 0
-    for (flo, fhi), cm in zip(islice(factors, n + 1), c.coefficients()):
+    for (flo, fhi), (lnum, lden, hnum, hden) in zip(islice(factors, n + 1), bounds):
         if not fhi:
             continue
-        if isinstance(cm, RationalScalar):
-            clo = chi = cm.value
-        else:
-            clo, chi = scalar_enclosure(cm, eps)
         # with F_m >= 0 the sign of a coefficient bound picks the factor
         # bound, and no two long products are compared
-        num = clo.numerator
-        lo += (num * (flo if num >= 0 else fhi) << bits) // (clo.denominator * den)
-        num = chi.numerator
-        hi -= (-num * (fhi if num >= 0 else flo) << bits) // (chi.denominator * den)
+        lo += (lnum * (flo if lnum >= 0 else fhi) << bits) // (lden * den)
+        hi -= (-hnum * (fhi if hnum >= 0 else flo) << bits) // (hden * den)
     return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
@@ -506,8 +516,9 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
         if start is not None:
             return _periodic_bounds(c, list(_tent_numerators(t, residues)), t.denominator, start, width)
     # without residue-class tails, or without a period within the cap, the
-    # rounded prefix needs only its n + 1 tents and never walks the period
-    pairs = ((f, f) for f in _tent_numerators(t, _residues(t)))
+    # rounded prefix needs only its n + 1 tents and never walks the period;
+    # a dyadic t's tents are 0 from the first 0 on
+    pairs = ((f, f) for f in takewhile(bool, _tent_numerators(t, _residues(t))))
     return _rounded_bounds(c, pairs, t.denominator, width)
 
 
@@ -526,7 +537,7 @@ def _periodic_bounds(
     bound = half * den
     block = nums[start:]
     p = len(block)
-    pairs = ((f, f) for f in chain(nums, cycle(block)))
+    pairs = ((f, f) for f in chain(nums, cycle(block) if any(block) else ()))
     m0 = start
     for _ in range(80):
         encl = c.residue_tail_enclosures(m0, p)

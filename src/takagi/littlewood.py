@@ -18,7 +18,6 @@ from one prefix walk.  Descartes' bound over (1/2, 2) skips a polynomial at
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -281,6 +280,7 @@ def scan(
         for t in tasks:
             summary.merge(_scan_chunk(t))
     else:
+        import multiprocessing  # imported for a pool only: a one-process run does without it
         with multiprocessing.Pool(jobs) as pool:
             for part in pool.imap_unordered(_scan_chunk, tasks, chunksize=1):
                 summary.merge(part)

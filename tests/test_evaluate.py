@@ -581,3 +581,50 @@ SERIES_BOUND_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(SERIES_BOUND_DIGESTS))
 def test_series_bounds_are_pinned(case):
     assert _bounds_digest(PINNED_SERIES_CASES[case]()) == SERIES_BOUND_DIGESTS[case]
+
+
+def _three_quarters_hook(bits):
+    w = F(1, 2**bits)
+    return F(3, 4) - w, F(3, 4) + w
+
+
+STREAM_SEQUENCES = KERNEL_SEQUENCES + [
+    ev.Custom(lambda m: F((-1) ** m, (m + 1) ** 2), lambda n: F(1, n + 1)),
+    ev.Geometric(sc.interval(F(3, 4) - F(1, 2**40), F(3, 4) + F(1, 2**40), _three_quarters_hook)),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(STREAM_SEQUENCES), st.integers(0, 40), st.fractions(min_value=F(1, 10**15), max_value=1))
+def test_coefficient_bounds_are_scalar_enclosures(c, n, width):
+    for m, (lnum, lden, hnum, hden) in zip(range(n + 1), c.coefficient_bounds(width)):
+        assert lden > 0 and hden > 0
+        assert (F(lnum, lden), F(hnum, hden)) == sc.scalar_enclosure(c.coefficient(m), width)
+
+
+def test_power_squared_series_builds_no_scalar_per_term(monkeypatch):
+    # the rounded prefix reads PowerSquared's integer stream alone: with no
+    # c_m available as a Scalar the pinned bounds still come out
+    def no_scalar(self, m):
+        raise AssertionError("c_%d built as a Scalar" % m)
+
+    monkeypatch.setattr(ev.PowerSquared, "coefficient", no_scalar)
+    case = "power-squared at 11/37"
+    assert _bounds_digest(PINNED_SERIES_CASES[case]()) == SERIES_BOUND_DIGESTS[case]
+
+
+def test_dyadic_points_stop_the_rounded_prefix_at_the_last_tent():
+    # tent(2^m 3/8) is 0 from m = 3 on: of the 2^15 + 1 prefix terms the tents
+    # read three coefficients, and the Rademacher factors, which run through
+    # one period of the digits' +1 tail, read four
+    calls = []
+
+    def coefficient(m):
+        calls.append(m)
+        return F(1, (m + 1) ** 2)
+
+    c, t, width = ev.Custom(coefficient, lambda n: F(1, n + 1)), F(3, 8), F(1, 2**14)
+    exact = F(3, 8) + F(1, 4) / 4 + F(1, 9) / 2
+    for got in (ev.eval_series(c, t, width), ev.eval_from_rademacher(c, ev.rademacher_of(t)[0], width)):
+        assert got.lo <= exact <= got.hi and got.hi - got.lo <= width
+    assert calls == [0, 1, 2] + [0, 1, 2, 3]
