@@ -124,10 +124,6 @@ class SignSequence:
                 if self.prefix[n] != block[(n - start) % len(block)]:
                     raise ValueError("prefix disagrees with period descriptor")
 
-    @property
-    def eventually_periodic(self) -> bool:
-        return self.period is not None
-
     def determined_upto(self) -> int | None:
         """Exclusive bound on known indices; None when fully determined."""
         return None if self.period is not None else len(self.prefix)

@@ -194,28 +194,21 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Quotient f/g assuming exact divisibility over Q[x] with integer result."""
+    """Quotient f/g assuming exact divisibility over Q[x] with integer result, by long division in integers."""
     if not g:
         raise ZeroDivisionError("exact_div by zero polynomial")
-    r = [Fraction(c) for c in f]
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        c = r[-1] / lg
-        k = len(r) - 1 - dg
+    r, dg = list(f), len(g) - 1
+    q = [0] * max(len(f) - dg, 0)
+    for k in reversed(range(len(q))):
+        c, rem = divmod(r[k + dg], g[-1])
+        if rem:
+            raise ValueError("exact_div: quotient not integral")
         q[k] = c
         for i, gc in enumerate(g):
             r[k + i] -= c * gc
     if any(r):
         raise ValueError("exact_div: division not exact")
-    if any(c.denominator != 1 for c in q):
-        raise ValueError("exact_div: quotient not integral")
-    return normalize([int(c) for c in q])
+    return normalize(q)
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:

@@ -24,7 +24,7 @@ from itertools import groupby
 
 from . import intpoly
 from .evaluate import BudgetError
-from .scalars import AlgebraicScalar, RationalScalar, Scalar, refine
+from .scalars import AlgebraicScalar, RationalScalar, Scalar, _Root, refine
 
 NEG_LO, NEG_HI = Fraction(-2), Fraction(-1, 2)
 POS_LO, POS_HI = Fraction(1, 2), Fraction(2)
@@ -173,7 +173,7 @@ def real_roots(p: LittlewoodPoly, width: Fraction = ROOT_WIDTH) -> list[Scalar]:
     sq, brackets, _repeated = intpoly.isolate_brackets(p.coeffs, _ANNULUS)
     if intpoly.degree(sq) == 1:
         return [RationalScalar(Fraction(-sq[0], sq[1]))] * len(brackets)
-    return [refine(AlgebraicScalar(sq, Fraction(A, D), Fraction(B, D), (0, 1), 1), width) for A, B, D in brackets]
+    return [refine(AlgebraicScalar(sq, (0, 1), 1, _Root(sq, bracket)), width) for bracket in brackets]
 
 
 def rational_root_filter(p: LittlewoodPoly) -> list[int]:
@@ -192,7 +192,7 @@ def is_step_root(p: LittlewoodPoly, root: Scalar) -> bool:
         sq, bracket = p.coeffs, (x.numerator, x.numerator, x.denominator)
         on_root = intpoly.sign_at(p.coeffs, x) == 0
     elif isinstance(root, AlgebraicScalar) and root.is_base_root():
-        sq, bracket = root.poly, intpoly.to_bracket(root.lo, root.hi)
+        sq, bracket = root.poly, root.root.base
         on_root = intpoly.has_root(intpoly.poly_gcd(root.poly, p.coeffs), bracket)
     else:
         raise ValueError("is_step_root expects a rational or a plain base root")

@@ -5,14 +5,15 @@ either exact or explicitly unresolved.  Three variants:
 
 * ``RationalScalar`` -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``AlgebraicScalar`` -- a value ``v(alpha)`` where ``alpha`` is the unique
-  root of an integer polynomial inside an isolating interval and ``v`` is a
-  remainder polynomial held in one integer form: numerators ``nums`` over
-  one positive denominator ``den``, reduced modulo the defining polynomial
-  and in lowest terms.  Every operation builds its result through
-  `_canonical`.  Its sign is `intpoly.root_sign`, the kernel the step test
-  and the step engine call: exact, zero by a polynomial gcd test against
-  the defining polynomial, nonzero by interval refinement (which must
-  terminate once zero is excluded).  Every query bisects with one walker,
+  root of an integer polynomial in the isolating integer bracket of its
+  `_Root`, the one place that bracket is kept, and ``v`` is a remainder
+  polynomial held in one integer form: numerators ``nums`` over one
+  positive denominator ``den``, reduced modulo the defining polynomial and
+  in lowest terms.  Every operation builds its result through `_canonical`.
+  Its sign is `_Root.sign`, which the step engine calls too:
+  `intpoly.root_sign`, exact, zero by a polynomial gcd test against the
+  defining polynomial, nonzero by interval refinement (which must terminate
+  once zero is excluded).  Every query bisects with one walker,
   `intpoly.refine_bracket`, and only narrows the number's shared `_Root`.
 * ``IntervalScalar`` -- a rational enclosure with an optional refinement hook
   ``refine_fn(bits)``; the only variant whose sign can come back unresolved.
@@ -29,7 +30,7 @@ enclosure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
@@ -83,13 +84,21 @@ class RationalScalar:
 
 class _Root:
     """The root alpha of one algebraic number, shared by every scalar on it: `poly`, squarefree
-    with alpha its only root in the base bracket (A0, B0, D0), and `deep`, the deepest bracket
-    bisecting the base has reached (depth k is over D0 2^k; a midpoint that is alpha ends it as
-    the exact (M, M, D)).  Sign and enclosure queries, `refine` and the step engine's prefix
-    sums start from `deep` and only narrow it."""
+    with alpha its only root in the base bracket (A0, B0, D0), in lowest terms, and `deep`, the
+    deepest bracket bisecting the base has reached (depth k is over D0 2^k; a midpoint that is
+    alpha ends it as the exact (M, M, D)).  Two roots are equal when their bases are.  Sign and
+    enclosure queries, `refine` and the step engine's prefix sums start from `deep` and only
+    narrow it."""
 
     def __init__(self, poly: IntPoly, base: intpoly.Bracket):
-        self.poly, self.base, self.deep = poly, base, base
+        self.poly, g = poly, math.gcd(*base)
+        self.base = self.deep = tuple(x // g for x in base)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Root) and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash(self.base)
 
     def at(self, k: int) -> intpoly.Bracket:
         """The base halved k times toward alpha: `deep` read back by shifts, or narrowed to it."""
@@ -102,8 +111,10 @@ class _Root:
         lo = (A0 << k) + (deep[0] - (A0 << e)) // (w << (e - k)) * w
         return lo, lo + w, D0 << k
 
-    def keep(self, sign: int, bracket: intpoly.Bracket) -> int:
-        """`intpoly.root_sign`'s answer; its bracket becomes `deep` unless 0 (zero tests would narrow forever)."""
+    def sign(self, vec: Sequence[int], poly: IntPoly, slo: int | None = None) -> int:
+        """The sign of vec(alpha) by `intpoly.root_sign` from `deep`, `poly` squarefree; the bracket
+        that decided becomes `deep` unless the sign is 0 (zero tests would narrow forever)."""
+        sign, bracket = intpoly.root_sign(vec, poly, self.deep, slo)
         if sign:
             self.deep = bracket
         return sign
@@ -111,25 +122,28 @@ class _Root:
 
 @dataclass(frozen=True)
 class AlgebraicScalar:
-    """Value ``v(alpha)`` for the unique root ``alpha`` of ``poly`` in (lo, hi).
+    """Value ``v(alpha)`` for the unique root ``alpha`` of ``poly`` in its `_Root`'s base bracket.
 
     ``v = V/den`` with ``nums`` the integer coefficients of V (ascending) and
     ``den > 0``, canonical: V is reduced mod ``poly`` with no trailing zeros
     (zero is ``()``) and gcd(den, V) = 1.  ``poly`` is primitive and
-    squarefree; neither endpoint is a root.  ``root`` is alpha's `_Root`,
-    passed on by every operation that keeps alpha and (lo, hi), fresh when
-    not given; equality, hash and repr ignore it.
+    squarefree; neither end of the bracket is a root.  ``root`` is alpha's
+    `_Root`, passed on by every operation that keeps alpha; it compares and
+    hashes by its base, and ``lo``/``hi`` are that base as Fractions.
     """
 
     poly: IntPoly
-    lo: Fraction
-    hi: Fraction
     nums: tuple[int, ...]
     den: int
-    root: _Root | None = field(default=None, compare=False, repr=False)
+    root: _Root
 
-    def __post_init__(self):
-        object.__setattr__(self, "root", self.root or _Root(self.poly, intpoly.to_bracket(self.lo, self.hi)))
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.root.base[0], self.root.base[2])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.root.base[1], self.root.base[2])
 
     @property
     def value(self) -> tuple[Fraction, ...]:
@@ -196,7 +210,7 @@ def algebraic(poly: Sequence[int], lo, hi, value: Sequence[Fraction] | None = No
     chain = intpoly.sturm_chain(p)
     if intpoly.count_roots(chain, lo, hi) != 1:
         raise ValueError("algebraic: interval does not isolate exactly one root")
-    return _canonical(p, lo, hi, nums, den)
+    return _canonical(p, nums, den, _Root(p, intpoly.to_bracket(lo, hi)))
 
 
 def interval(lo, hi, refine_fn=None) -> IntervalScalar:
@@ -236,16 +250,16 @@ def _reduce_int(nums: Sequence[int], den: int, poly: IntPoly) -> tuple[list[int]
     return v, den
 
 
-def _canonical(poly: IntPoly, lo: Fraction, hi: Fraction, nums: Sequence[int], den: int, root=None) -> AlgebraicScalar:
-    """The scalar nums/den at the root of `poly` in (lo, hi), reduced mod poly and in lowest terms."""
+def _canonical(poly: IntPoly, nums: Sequence[int], den: int, root: _Root) -> AlgebraicScalar:
+    """The scalar nums/den at the root of `poly` that `root` holds, reduced mod poly and in lowest terms."""
     v, den = _reduce_int(nums, den, poly)
     g = math.gcd(den, *v)
-    return AlgebraicScalar(poly, lo, hi, tuple(x // g for x in v), den // g, root)
+    return AlgebraicScalar(poly, tuple(x // g for x in v), den // g, root)
 
 
 def _on(a: AlgebraicScalar, nums: Sequence[int], den: int, poly: IntPoly | None = None) -> AlgebraicScalar:
     """nums/den at a's root, canonical, sharing a's `_Root` (reduced mod `poly` if given)."""
-    return _canonical(poly or a.poly, a.lo, a.hi, nums, den, a.root)
+    return _canonical(poly or a.poly, nums, den, a.root)
 
 
 def _combine(a: Sequence[int], s: int, b: Sequence[int], t: int) -> list[int]:
@@ -274,7 +288,7 @@ def _alg_bounds(a: AlgebraicScalar, bracket: intpoly.Bracket) -> tuple[int, int,
 
 def _alg_sign(a: AlgebraicScalar) -> int:
     # the sign of poly at lo holds on every bracket of alpha the query narrows to
-    return a.root.keep(*intpoly.root_sign(a.nums, a.poly, a.root.deep, intpoly.sign_at(a.poly, a.lo)))
+    return a.root.sign(a.nums, a.poly, intpoly.sign_at(a.poly, a.lo))
 
 
 def _alg_enclosure(a: AlgebraicScalar, width: Fraction, depth: int = 0) -> tuple[tuple[Fraction, Fraction], int]:
@@ -378,14 +392,14 @@ def _sign_of_fraction(x: Fraction) -> int:
 def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
     """Rebase two algebraic scalars onto a common defining polynomial.
 
-    Works when they share the isolating interval and their polynomials share
+    Works when their roots have one base bracket and their polynomials share
     the root there (e.g. one was localized during inversion): both reduce mod
     the gcd, which still isolates the same root.  Returns None if impossible.
     """
-    if (a.poly, a.lo, a.hi) == (b.poly, b.lo, b.hi):
-        return a, b
-    if (a.lo, a.hi) != (b.lo, b.hi):
+    if a.root != b.root:
         return None
+    if a.poly == b.poly:
+        return a, b
     g = intpoly.poly_gcd(a.poly, b.poly)
     if not intpoly.has_root(g, a.root.base):
         return None
@@ -695,7 +709,7 @@ def refine(a, width) -> Scalar:
         A, B, D = a.root.at((-(-(B0 - A0) * width.denominator // (width.numerator * D0)) - 1).bit_length())
         if A == B:
             return _at_rational(Fraction(A, D), a.nums, a.den)
-        return AlgebraicScalar(a.poly, Fraction(A, D), Fraction(B, D), a.nums, a.den)
+        return AlgebraicScalar(a.poly, a.nums, a.den, _Root(a.poly, (A, B, D)))
     lo, hi = _enclose(a, width)
     return IntervalScalar(lo, hi, a.refine_fn)
 
@@ -719,10 +733,9 @@ def same_root(a, b) -> bool:
     assert isinstance(a, AlgebraicScalar) and isinstance(b, AlgebraicScalar)
     if not (a.is_base_root() and b.is_base_root()):
         raise ValueError("same_root expects plain base roots")
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo >= hi:
-        return False
-    return intpoly.has_root(intpoly.poly_gcd(a.poly, b.poly), intpoly.to_bracket(lo, hi))
+    (A1, B1, D1), (A2, B2, D2) = a.root.base, b.root.base
+    lo, hi = max(A1 * D2, A2 * D1), min(B1 * D2, B2 * D1)
+    return lo < hi and intpoly.has_root(intpoly.poly_gcd(a.poly, b.poly), (lo, hi, D1 * D2))
 
 
 # ---------------------------------------------------------------------------

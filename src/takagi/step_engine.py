@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import islice
 
 from . import intpoly, scalars
 from .evaluate import (
@@ -203,8 +203,8 @@ class _PrefixSums(Sequence):
     an integer vector reduced mod poly and E_n > 0; the power
     alpha^n = W_n(theta)/E_n is W_{n-1} V / (E_{n-1} L) reduced, one vector
     product a term, so N_n = f_n N_{n-1} + rho_n W_n with E_n = f_n E_{n-1}.
-    Every sign is `intpoly.root_sign` of an integer vector on the deepest
-    bracket of alpha's shared `scalars._Root`, which it narrows for every
+    Every sign is `scalars._Root.sign` of an integer vector: `intpoly.root_sign`
+    on the deepest bracket of alpha's shared root, which it narrows for every
     scalar on theta.  Indexing builds S_n as the canonical Scalar on that
     root, the one that summing the weights as Scalars gives.
     """
@@ -226,26 +226,19 @@ class _PrefixSums(Sequence):
         w, f = scalars._reduce_int(intpoly.mul(self.powers[-1], self.v), self.l, self.poly)
         self.powers.append(w)
         self.dens.append(self.dens[-1] * f)
-        self.nums.append([f * x + choice * y for x, y in zip_longest(self.nums[-1], w, fillvalue=0)])
-
-    def root_sign(self, vec) -> int:
-        return self.root.keep(*intpoly.root_sign(vec, self.poly, self.root.deep))
+        self.nums.append(scalars._combine(self.nums[-1], f, w, choice))
 
     def sign(self, n: int) -> int:
-        return self.root_sign(self.nums[n])
+        return self.root.sign(self.nums[n], self.poly)
 
     def alpha_sign(self, k: int) -> int:
         """Sign of alpha - k."""
-        v = list(self.v) or [0]
-        v[0] -= k * self.l
-        return self.root_sign(v)
+        return self.root.sign(scalars._combine(self.v, 1, (self.l,), -k), self.poly)
 
     def increment_sign(self, i: int, p: int) -> int:
         """Sign of S_{i+p} - S_i."""
         r = self.dens[i + p] // self.dens[i]
-        return self.root_sign(
-            [x - r * y for x, y in zip_longest(self.nums[i + p], self.nums[i], fillvalue=0)]
-        )
+        return self.root.sign(scalars._combine(self.nums[i + p], 1, self.nums[i], -r), self.poly)
 
     def limit_sign(self, i: int, p: int) -> int:
         """Sign of S_{i+p} - alpha^p S_i, the limit of the phase through i scaled by 1 - alpha^p."""
@@ -253,7 +246,7 @@ class _PrefixSums(Sequence):
             intpoly.mul(self.powers[p], self.nums[i]), self.dens[p] * self.dens[i], self.poly
         )
         e = self.dens[i + p]
-        return self.root_sign([g * x - e * y for x, y in zip_longest(self.nums[i + p], m, fillvalue=0)])
+        return self.root.sign(scalars._combine(self.nums[i + p], g, m, -e), self.poly)
 
     def __len__(self) -> int:
         return len(self.nums)

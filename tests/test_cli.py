@@ -93,6 +93,12 @@ def test_exit_codes(capsys):
     assert code == 0  # resolvable algebraic input works at tiny depth
 
 
+def test_linear_root_outside_the_interval_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "maximize", "--alpha", "root:1,-1:1:2")
+    assert code == cli.EXIT_USAGE == 1
+    assert err == "error: algebraic: linear polynomial has no root in interval\n"
+
+
 def test_unread_option_is_a_usage_error(capsys):
     unread = [
         ["selftest", "--jobs", "2"],

@@ -602,6 +602,19 @@ def test_coefficient_bounds_are_scalar_enclosures(c, n, width):
         assert (F(lnum, lden), F(hnum, hden)) == sc.scalar_enclosure(c.coefficient(m), width)
 
 
+@pytest.mark.parametrize("c, t", [(ev.PowerSquared(), F(11, 37)), (geometric(SQRT2), F(1, 3))])
+def test_eval_series_hook_refines_inside_its_enclosure(c, t):
+    coarse = ev.eval_series(c, t, F(1, 2**10))
+    assert coarse.hi - coarse.lo <= F(1, 2**10)
+    lo, hi = coarse.refine_fn(40)
+    assert hi - lo <= F(1, 2**40) and coarse.lo <= lo <= hi <= coarse.hi
+    if isinstance(c, ev.Geometric):
+        # scalar_enclosure calls the hook at 256 bits or more, which the
+        # power-squared series does not reach in reasonable time
+        lo, hi = sc.scalar_enclosure(coarse, F(1, 2**40))
+        assert hi - lo <= F(1, 2**40) and coarse.lo <= lo <= hi <= coarse.hi
+
+
 def test_power_squared_series_builds_no_scalar_per_term(monkeypatch):
     # the rounded prefix reads PowerSquared's integer stream alone: with no
     # c_m available as a Scalar the pinned bounds still come out

@@ -87,6 +87,26 @@ def test_gcd_and_squarefree():
     assert len(roots) == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=8), st.lists(st.integers(-50, 50), min_size=1, max_size=8))
+def test_exact_div_undoes_mul(f, g):
+    f, g = ip.normalize(f), ip.normalize(g)
+    assume(g)
+    assert ip.exact_div(ip.mul(f, g), g) == f
+
+
+def test_exact_div_errors():
+    with pytest.raises(ZeroDivisionError):
+        ip.exact_div((1, 1), ())
+    for f, g, message in (
+        ((1,), (0, 2), "division not exact"),
+        ((1, 0, 1), (1, 1), "division not exact"),
+        ((1, 1), (2, 2), "quotient not integral"),
+    ):
+        with pytest.raises(ValueError, match="exact_div: " + message):
+            ip.exact_div(f, g)
+
+
 def test_has_root_is_the_gcd_zero_test():
     # sqrt2 in (7/5, 3/2): x^4 - 4 shares it with x^2 - 2, x^2 + 2 does not
     sq, bracket = (-2, 0, 1), (14, 15, 10)

@@ -174,6 +174,17 @@ def test_is_step_root_rejects_non_roots_and_other_forms():
         lw.is_step_root(p, sc.interval(F(61, 100), F(62, 100)))
 
 
+def test_is_step_root_reads_the_base_bracket_of_a_root_narrowed_to_exact():
+    # 1 is the root of 1 - x^2 in (1/2, 3/2), the first midpoint: an enclosure
+    # query leaves the exact bracket (1, 1) as the deepest, where the gcd
+    # zero test sees no sign change
+    p = lw.LittlewoodPoly((1, 1, -1, -1))  # (1 - x)(1 + x)^2
+    one = sc.algebraic((1, 0, -1), F(1, 2), F(3, 2))
+    sc.scalar_enclosure(one, F(1, 2**10))
+    assert one.root.deep[0] == one.root.deep[1]
+    assert lw.is_step_root(p, one) == lw.is_step_root(p, sc.rational(1)) is False
+
+
 def test_scan_degree_one_and_two():
     s = lw.scan(1)
     assert (s.total_roots, s.total_step_roots) == (2, 1)

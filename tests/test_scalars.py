@@ -103,6 +103,28 @@ def test_isolating_interval_always_one_root():
     assert isinstance(a, sc.AlgebraicScalar)
 
 
+@pytest.mark.parametrize(
+    "poly, lo, hi, message",
+    [
+        ([3], 0, 1, "polynomial must have positive degree"),
+        ([], 0, 1, "polynomial must have positive degree"),
+        ([-2, 0, 1], 2, 1, "empty interval"),
+        ([-2, 0, 1], 1, 1, "degenerate interval is not a root"),
+        ([-1, 0, 1], 1, 2, "interval endpoint is a root"),
+        ([-3, 1], 0, 1, "linear polynomial has no root in interval"),
+    ],
+)
+def test_algebraic_input_checks(poly, lo, hi, message):
+    with pytest.raises(ValueError, match="algebraic: " + message):
+        sc.algebraic(poly, lo, hi)
+
+
+def test_algebraic_collapses_to_rational():
+    assert sc.algebraic([-1, 0, 0, 1], 1, 1) == sc.RationalScalar(F(1))
+    assert sc.algebraic([-2, 1], 1, 3) == sc.RationalScalar(F(2))
+    assert sc.algebraic([-2, 1], 1, 3, [F(1, 2), 3]) == sc.RationalScalar(F(13, 2))
+
+
 def test_interval_refinement_narrows():
     calls = []
 
@@ -401,7 +423,7 @@ def test_integer_vec_mul_matches_fraction_product(poly, data):
     a, b = data.draw(vecs), data.draw(vecs)
 
     def canonical(vec):
-        return sc._canonical(poly, F(0), F(1), *sc._clear_denominators(tuple(vec)))
+        return sc._canonical(poly, *sc._clear_denominators(tuple(vec)), sc._Root(poly, (0, 1, 1)))
 
     assert sc.scalar_mul(canonical(a), canonical(b)).value == _fraction_vec_mul(a, b, poly)
     long = data.draw(st.lists(small_fractions, min_size=0, max_size=2 * n + 2))
@@ -537,3 +559,27 @@ def test_zero_sign_queries_do_not_deepen_the_shared_root():
     # a nonzero answer keeps the bracket that decided it
     near = sc.scalar_sub(sc.algebraic(p, 1, 2), F(1414213562, 10**9))
     assert sc.scalar_sign(near).sign == 1 and near.root.deep[2] > near.root.base[2] << 20
+
+
+def test_roots_compare_and_hash_by_their_base_bracket():
+    # p = 1 - x - x^2: the walker's root and the constructor's on one bracket
+    # are one scalar, as are a refinement and the root built on its bracket
+    from takagi import littlewood as lw
+
+    p = (1, -1, -1)
+    for r in lw.real_roots(lw.LittlewoodPoly(p)):
+        built = sc.algebraic(p, r.lo, r.hi)
+        assert built == r and hash(built) == hash(r)
+        assert built.root.base == r.root.base == ip.to_bracket(r.lo, r.hi)
+    # (1/2, 5/6) is (3, 5, 6): its halvings (A, A + 2, 6 2^k) can share a factor
+    for lo, hi in ((F(1, 2), 1), (F(1, 2), F(5, 6))):
+        for w in (F(1, 3), F(1, 5), F(1, 2**30), F(1, 10**20)):
+            r = sc.refine(sc.algebraic(p, lo, hi), w)
+            built = sc.algebraic(p, r.lo, r.hi)
+            assert built == r and hash(built) == hash(r) and r.hi - r.lo <= w
+    a, b = sc.algebraic(p, F(1, 2), 1), sc.AlgebraicScalar(p, (0, 1), 1, sc._Root(p, (2, 4, 4)))
+    assert a == b and hash(a) == hash(b) and b.lo == F(1, 2)
+    assert a.root is not b.root and a.root == b.root
+    total = sc.scalar_add(a, b)
+    assert isinstance(total, sc.AlgebraicScalar) and total == sc.scalar_mul(a, 2)
+    assert a != sc.algebraic(p, F(1, 2), F(3, 4))
