@@ -28,11 +28,13 @@ from . import landsberg, littlewood, oracle, step_engine
 from .evaluate import (
     BudgetError,
     DomainError,
+    DyadicRational,
     FiniteSupport,
     Geometric,
     PowerSquared,
     eval_periodic,
     eval_series,
+    is_dyadic,
 )
 from .scalars import (
     PrecisionError,
@@ -130,10 +132,7 @@ def _location_dict(loc: step_engine.Location) -> dict:
         "error": _frac(loc.error),
         "decimal": scalar_decimal(RationalScalar(loc.approx), DIGITS),
     }
-    den = loc.approx.denominator
-    if loc.exact is None and den & (den - 1) == 0:
-        from .evaluate import DyadicRational
-
+    if loc.exact is None and is_dyadic(loc.approx):
         out["dyadic"] = DyadicRational.from_fraction(loc.approx).to_json_dict()
     return out
 

@@ -5,7 +5,8 @@ trailing zero coefficients; the zero polynomial is the empty tuple.  Everything
 here is exact big-integer arithmetic: evaluation at rationals is done with
 cleared denominators (`sign_at_scaled`, `eval_interval_scaled`), and Sturm
 chains use sign-corrected pseudo-remainders with content stripping to control
-coefficient growth.
+coefficient growth.  `squarefree_chain` is the one squarefree computation:
+`isolate_brackets`, `squarefree_part` and `scalars.algebraic` read from it.
 
 Real roots live on integer brackets (A, B, D), the interval (A/D, B/D).  One
 walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
@@ -211,16 +212,6 @@ def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     return normalize(q)
 
 
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """p with repeated factors collapsed (same distinct roots)."""
-    if len(p) <= 2:
-        return primitive(p)
-    g = poly_gcd(p, derivative(p))
-    if len(g) == 1:
-        return primitive(p)
-    return primitive(exact_div(primitive(p), g))
-
-
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
     """Sturm chain of p (content-stripped at every step).
 
@@ -238,6 +229,24 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
                 break
             chain.append(primitive(neg(r)))
     return chain
+
+
+def squarefree_chain(p: IntPoly) -> tuple[IntPoly, list[IntPoly], IntPoly | None]:
+    """(squarefree part, its Sturm chain, repeated part) of p; a squarefree p costs one chain.
+
+    The repeated part, the last member of p's own chain (gcd(p, p') up to a constant), is None
+    when constant; the squarefree part is p over it, primitive (Gauss), with p's leading sign.
+    """
+    chain = sturm_chain(p)
+    if degree(chain[-1]) < 1:
+        return chain[0], chain, None
+    sq = exact_div(chain[0], chain[-1] if chain[-1][-1] > 0 else neg(chain[-1]))
+    return sq, sturm_chain(sq), chain[-1]
+
+
+def squarefree_part(p: IntPoly) -> IntPoly:
+    """p with repeated factors collapsed (same distinct roots)."""
+    return squarefree_chain(p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +291,11 @@ def isolate_brackets(
     p must not vanish at an interval's endpoints.  One Sturm chain, of the
     squarefree part, serves every interval.  Each bracket holds exactly one
     distinct root, and neither of its endpoints is a root; brackets come in
-    the order of the intervals, left to right within each.  The repeated
-    part is the last member of p's own Sturm chain (its gcd with p', up to a
-    constant) when that has a root, else None; the squarefree part is p over
-    it, with no second gcd.  A bracket is split at its
-    midpoint; a midpoint that is a root moves right by a quarter of the
-    width, then by half of each previous move.
+    the order of the intervals, left to right within each.  A bracket is
+    split at its midpoint; a midpoint that is a root moves right by a
+    quarter of the width, then by half of each previous move.
     """
-    chain = sturm_chain(p)
-    repeated = None
-    if degree(chain[-1]) >= 1:
-        repeated = chain[-1]
-        g = repeated if repeated[-1] > 0 else neg(repeated)
-        sq = primitive(exact_div(chain[0], g))
-        chain = sturm_chain(sq)
-    else:
-        sq = chain[0]
+    sq, chain, repeated = squarefree_chain(p)
     brackets: list[Bracket] = []
 
     def split(A: int, B: int, D: int, va: int, vb: int) -> None:

@@ -205,11 +205,14 @@ def is_step_root(p: LittlewoodPoly, root: Scalar) -> bool:
 # scan internals
 
 
+def _bins(A: int, B: int, D: int, bins: int) -> tuple[int, int]:
+    """Bins of m = (A + B) / 2D and -m: int((m - 1/2) / w), int((2 - m) / w), w = 3 / (2 bins), capped."""
+    return min(bins * (A + B - D) // (3 * D), bins - 1), min(bins * (4 * D - A - B) // (3 * D), bins - 1)
+
+
 def _scan_chunk(args) -> ScanSummary:
     degree, mask_lo, mask_hi, bins, collect = args
     out = _empty_summary(degree, bins)
-    neg_w = (NEG_HI - NEG_LO) / bins
-    pos_w = (POS_HI - POS_LO) / bins
     odd = sum(1 << j for j in range(0, degree, 2))  # mask ^ odd is the mask of P(-x)
     matrix = intpoly.descartes_matrix(degree, _POSITIVE)
     for mask in range(mask_lo, mask_hi):
@@ -227,19 +230,18 @@ def _scan_chunk(args) -> ScanSummary:
             repeated = chain[-1] if intpoly.degree(chain[-1]) >= 1 else None
         for bracket in brackets:
             A, B, D = bracket = intpoly.refine_bracket(sq, bracket, _BIN_WIDTH)
-            mid = Fraction(A + B, 2 * D)
             step, mirror = intpoly.step_root_at(coeffs, sq, bracket)
             out.pos_roots += 1
             out.pos_step_roots += step
             out.neg_step_roots += mirror
-            idx = min(int((mid - POS_LO) / pos_w), bins - 1)
-            out.hist_pos_roots[idx] += 1
-            out.hist_pos_steps[idx] += step
-            idx = min(int((-mid - NEG_LO) / neg_w), bins - 1)
-            out.hist_neg_roots[idx] += 1
-            out.hist_neg_steps[idx] += mirror
+            pos, neg = _bins(A, B, D, bins)
+            out.hist_pos_roots[pos] += 1
+            out.hist_pos_steps[pos] += step
+            out.hist_neg_roots[neg] += 1
+            out.hist_neg_steps[neg] += mirror
             if collect:
-                out.roots_seen += [(degree, mask, float(mid), step), (degree, mask ^ odd, -float(mid), mirror)]
+                mid = (A + B) / (2 * D)
+                out.roots_seen += [(degree, mask, mid, step), (degree, mask ^ odd, -mid, mirror)]
     # every root of this chunk is also the negative root of the mirrored polynomial
     out.pos_roots_with_multiplicity += out.pos_roots
     out.neg_roots, out.neg_roots_with_multiplicity = out.pos_roots, out.pos_roots_with_multiplicity
@@ -281,7 +283,7 @@ def scan(
             summary.merge(_scan_chunk(t))
     else:
         import multiprocessing  # imported for a pool only: a one-process run does without it
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
             for part in pool.imap_unordered(_scan_chunk, tasks, chunksize=1):
                 summary.merge(part)
     summary.roots_seen.sort()

@@ -49,12 +49,28 @@ class MaximizingEdge:
         return (a, b) if a <= b else (b, a)
 
 
-def _grid_values(coeffs, n: int) -> list[Fraction]:
+def _grid_values(coeffs, n: int) -> list[int]:
+    """L N f_n(k / N) for k = 0..N, N = 2^(n+1), L the lcm of the coefficient denominators.
+
+    In integers: L N f_n(k / N) = sum_m (L c_m) min(r, N - r), r = 2^m k mod N.
+    Every value has the same positive factor L N, so comparisons of values
+    and of neighbour sums are those of f_n.
+    """
     if n > GRID_CAP:
         raise BudgetError("generation %d beyond grid budget %d" % (n, GRID_CAP))
-    size = (1 << (n + 1)) + 1
-    h = Fraction(1, 1 << (n + 1))
-    return [f_truncated(coeffs, n, k * h) for k in range(size)]
+    N = 1 << (n + 1)
+    cs = [Fraction(c) for c in coeffs[: n + 1]]
+    L = 1
+    for c in cs:
+        L *= Fraction(L, c.denominator).denominator  # times d / gcd(L, d): lcm(L, d)
+    vals = [0] * (N + 1)
+    for m, c in enumerate(cs):
+        a = c.numerator * (L // c.denominator)
+        if a:
+            for k in range(N + 1):
+                r = (k << m) % N
+                vals[k] += a * min(r, N - r)
+    return vals
 
 
 def grid_argmax(coeffs: Sequence[Fraction], n: int) -> set[DyadicRational]:

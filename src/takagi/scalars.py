@@ -186,10 +186,11 @@ def algebraic(poly: Sequence[int], lo, hi, value: Sequence[Fraction] | None = No
     """Scalar for the unique root of `poly` in (lo, hi), optionally mapped by `value`.
 
     The interval is checked to isolate exactly one distinct real root (Sturm
-    count 1).  Degree-1 polynomials and degenerate intervals collapse to
-    ``RationalScalar``.
+    count 1, on the chain `intpoly.squarefree_chain` gives with the
+    squarefree part).  Degree-1 polynomials and degenerate intervals
+    collapse to ``RationalScalar``.
     """
-    p = intpoly.squarefree_part(intpoly.normalize(poly))
+    p, chain, _ = intpoly.squarefree_chain(intpoly.normalize(poly))
     lo, hi = Fraction(lo), Fraction(hi)
     nums, den = ((0, 1), 1) if value is None else _clear_denominators(tuple(map(Fraction, value)))
     if intpoly.degree(p) < 1:
@@ -207,7 +208,6 @@ def algebraic(poly: Sequence[int], lo, hi, value: Sequence[Fraction] | None = No
         return _at_rational(root, nums, den)
     if intpoly.sign_at(p, lo) == 0 or intpoly.sign_at(p, hi) == 0:
         raise ValueError("algebraic: interval endpoint is a root")
-    chain = intpoly.sturm_chain(p)
     if intpoly.count_roots(chain, lo, hi) != 1:
         raise ValueError("algebraic: interval does not isolate exactly one root")
     return _canonical(p, nums, den, _Root(p, intpoly.to_bracket(lo, hi)))
@@ -338,7 +338,7 @@ def _alg_localize(a: AlgebraicScalar, offender: IntPoly) -> AlgebraicScalar:
         return a
     if intpoly.has_root(g, a.root.base):
         raise ZeroDivisionError("scalar inverse of zero value")
-    return _on(a, a.nums, a.den, intpoly.squarefree_part(intpoly.exact_div(a.poly, g)))
+    return _on(a, a.nums, a.den, intpoly.exact_div(a.poly, g))
 
 
 def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
@@ -403,7 +403,6 @@ def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
     g = intpoly.poly_gcd(a.poly, b.poly)
     if not intpoly.has_root(g, a.root.base):
         return None
-    g = intpoly.squarefree_part(g)
     return _on(a, a.nums, a.den, g), _on(b, b.nums, b.den, g)
 
 

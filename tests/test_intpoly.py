@@ -269,6 +269,29 @@ def test_squarefree_part_from_the_chain_matches_squarefree_part():
     assert seen == 74
 
 
+def test_squarefree_part_and_chain_match_sympy_sqf_part():
+    # products of random factors, some repeated, with either leading sign;
+    # sympy's sqf_part is primitive with a positive leading coefficient
+    rng = random.Random(20)
+    x = sympy.Symbol("x")
+    cases = [(), (5,), (-3,), (0, 0, 4), (-6, 12)]
+    for _ in range(60):
+        p = (rng.choice((-3, -1, 1, 2)),)
+        for _ in range(rng.randint(1, 3)):
+            f = ip.normalize(tuple(rng.randint(-3, 3) for _ in range(rng.randint(2, 3))))
+            for _ in range(rng.randint(1, 3)):
+                p = ip.mul(p, f or (1,))
+        cases.append(p)
+    for p in cases:
+        sq, chain, repeated = ip.squarefree_chain(p)
+        ref = sympy.Poly(list(reversed(p)) or [0], x, domain="ZZ").sqf_part()
+        ref = ip.normalize(tuple(int(c) for c in reversed(ref.all_coeffs())))
+        assert sq in (ref, ip.neg(ref)), p
+        assert ip.squarefree_part(p) == sq
+        assert chain == ip.sturm_chain(sq)
+        assert (repeated is None) == (ip.degree(ip.sturm_chain(p)[-1]) < 1)
+
+
 def test_root_sign_tests_for_zero_once_at_the_second_straddle(monkeypatch):
     # x = sqrt2 in (1, 2): p = x^2 - 2 straddles 0 at every bracket, and the
     # gcd test after one 2^5-fold refinement decides it, not a walk below 2^-64

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from takagi import landsberg as lb
 from takagi import littlewood as lw
@@ -270,6 +272,72 @@ def test_mirrored_scan_matches_two_sided_tally(max_degree, bins, jobs):
     want = _reference_scan(max_degree, bins)
     for f in dataclasses.fields(lw.ScanSummary):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@st.composite
+def _binned_brackets(draw):
+    """(A, B, D, bins): a bracket in [1/2, 2] whose midpoint lies in (1/2, 2), anywhere,
+    exactly on a bin edge, or within 1/2D of 2."""
+    bins = draw(st.sampled_from([1, 3, 37, 200, 401]))
+    kind = draw(st.sampled_from(["any", "edge", "top"]))
+    if kind == "edge":  # midpoint M / D = 1/2 + j w, w = 3 / (2 bins)
+        j, s = draw(st.integers(0, bins)), draw(st.integers(1, 2**20))
+        D, M = 2 * bins * s, (bins + 3 * j) * s
+        e = draw(st.integers(0, min((2 * M - D) // 2, 2 * D - M)))
+        A, B = M - e, M + e
+    elif kind == "top":
+        D = draw(st.integers(2, 2**40))
+        A, B = 2 * D - draw(st.integers(1, 2)), 2 * D
+    else:
+        D = draw(st.integers(1, 2**40))
+        A = draw(st.integers((D + 1) // 2, 2 * D))
+        B = draw(st.integers(A, 2 * D))
+    assume(D < A + B < 4 * D)
+    return A, B, D, bins
+
+
+@settings(max_examples=400, deadline=None)
+@given(_binned_brackets())
+@example((3, 3, 2, 3))
+@example((3999, 4000, 2000, 401))
+@example((103, 103, 200, 200))
+def test_integer_bins_match_the_fraction_bins(case):
+    # the scan bins a root from its integer bracket; the Fraction midpoint
+    # over the Fraction bin width gives the same bins on both components
+    A, B, D, bins = case
+    mid = F(A + B, 2 * D)
+    want = tuple(
+        min(int((x - lo) / ((hi - lo) / bins)), bins - 1)
+        for x, lo, hi in ((mid, lw.POS_LO, lw.POS_HI), (-mid, lw.NEG_LO, lw.NEG_HI))
+    )
+    assert lw._bins(A, B, D, bins) == want
+
+
+def test_scan_opens_no_more_workers_than_tasks(monkeypatch):
+    # a fake pool: it records its size and maps the tasks inline, so no
+    # process is started
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    want = lw.scan(3).to_json_dict()
+    assert lw.scan(3, jobs=64).to_json_dict() == want  # one chunk per degree
+    assert lw.scan(3, jobs=2).to_json_dict() == want
+    assert sizes == [3, 2]
 
 
 def test_scan_12_digests():

@@ -1,5 +1,6 @@
 """Dyadic-grid brute force: argmax sets, maximizing edges, slope identity."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,20 @@ def test_generation_zero_argmax():
     assert {d.to_fraction() for d in oracle.grid_argmax([F(2, 3)], 0)} == {F(1, 2)}
     # flat degeneracy: zero leading coefficient makes every point maximal
     assert len(oracle.grid_argmax([F(0)], 0)) == 3
+
+
+def test_integer_grid_is_the_scaled_truncation():
+    # _grid_values is L N f_n(k / N), N = 2^(n+1), L the lcm of the
+    # denominators; lists with zeros, negatives, ints and more terms than n
+    rng = random.Random(9)
+    cases = [([F(-1)], 0), ([F(2, 3)], 0), ([F(0)], 0), ([F(1, 2), F(-1, 3)], 0), ([1, F(1, 6)], 3)]
+    for _ in range(40):
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))]
+        cases.append((coeffs, rng.randint(0, 7)))
+    for coeffs, n in cases:
+        N, L = 1 << (n + 1), math.lcm(*(F(c).denominator for c in coeffs[: n + 1]))
+        want = [L * N * oracle.f_truncated(coeffs, n, F(k, N)) for k in range(N + 1)]
+        assert oracle._grid_values(coeffs, n) == want, (coeffs, n)
 
 
 def test_edges_match_both_characterizations():

@@ -125,6 +125,20 @@ def test_algebraic_collapses_to_rational():
     assert sc.algebraic([-2, 1], 1, 3, [F(1, 2), 3]) == sc.RationalScalar(F(13, 2))
 
 
+def test_algebraic_takes_one_sturm_chain_for_a_squarefree_polynomial(monkeypatch):
+    chains, gcds = [], []
+    sturm_chain, poly_gcd = ip.sturm_chain, ip.poly_gcd
+    monkeypatch.setattr(ip, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
+    monkeypatch.setattr(ip, "poly_gcd", lambda *a: gcds.append(a) or poly_gcd(*a))
+    a = sc.algebraic([1, -1, -1, -1, 1], F(1, 2), 1)
+    assert isinstance(a, sc.AlgebraicScalar)
+    assert len(chains) == 1 and not gcds
+    # (x^2 - 2)^2: the chain of p finds the repeated part, the second is of x^2 - 2
+    chains.clear()
+    assert sc.algebraic([4, 0, -4, 0, 1], 1, 2) == sc.algebraic([-2, 0, 1], 1, 2)
+    assert len(chains) == 3 and not gcds
+
+
 def test_interval_refinement_narrows():
     calls = []
 
