@@ -12,11 +12,12 @@ Real roots live on integer brackets (A, B, D), the interval (A/D, B/D).  One
 walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
 them (`refine_bracket`) and decides the step property of a root against the
 prefixes of a coefficient tuple (`step_root_at`); `isolate_roots` is its
-Fraction-endpoint form; `descartes_count` bounds a bracket's roots without
-a Sturm chain.  The sign of any integer polynomial at such a root comes from
-one kernel, `root_sign`, which the step test, the step engine's recursion
-and `scalars.scalar_sign` of an algebraic number all call.  The `*_dyadic`
-names are the denominator-2^k cases of the scaled kernels.
+Fraction-endpoint form; `descartes_brackets` isolates on the same grid by
+`descartes_count`, the bound on a bracket's roots without a Sturm chain.  The
+sign of any integer polynomial at such a root comes from one kernel,
+`root_sign`, which the step test (for a prefix its running enclosure leaves
+open), the step engine's recursion and `scalars.scalar_sign` all call.
+The `*_dyadic` names are the denominator-2^k cases of the scaled kernels.
 """
 
 from __future__ import annotations
@@ -393,19 +394,30 @@ def step_root_at(coeffs: IntPoly, sq: IntPoly, bracket: Bracket) -> tuple[bool, 
 
     P's: c_{k+1} P_k(x) <= 0 for every proper prefix P_k of `coeffs`.  Since
     P(-x)'s prefixes at -x are P's at x, its flag for -x is (-1)^{k+1}
-    c_{k+1} P_k(x) <= 0 for every k.  P_0 has the sign of c_0; each longer
-    prefix is `root_sign` on one bracket that only narrows.
+    c_{k+1} P_k(x) <= 0 for every k.  One running integer enclosure bounds the
+    prefixes, and restarts on `root_sign`'s bracket for a prefix it leaves open.
     """
-    s = (coeffs[0] > 0) - (coeffs[0] < 0)
+    A, B, D = bracket
+    if A < 0 < B:  # x is not 0 (c_0 != 0): keep the side of 0 that holds it
+        A, B = (0, B) if sign_at_scaled(sq, 0, 1) == sign_at_scaled(sq, A, D) else (A, 0)
+    k, lo, hi, pa, pb = 0, 0, 0, 1, 1  # [lo, hi] holds D^(k-1) P_{k-1}(x); pa, pb are A^k, B^k
     step = mirror = True
     for j in range(1, len(coeffs)):
+        for c in coeffs[k:j]:  # lo_k = lo_{k-1} D + c_k (A^k or B^k), x^k between the two
+            least, most = (pa, pb) if pa <= pb else (pb, pa)
+            lo, hi = lo * D + c * (least if c > 0 else most), hi * D + c * (most if c > 0 else least)
+            pa, pb = pa * A, pb * B
+        k = j
+        if lo > 0 or hi < 0 or lo == hi:
+            s = (lo > 0) - (hi < 0)
+        else:
+            s, (A, B, D) = root_sign(coeffs[:j], sq, (A, B, D))
+            k, lo, hi, pa, pb = 0, 0, 0, 1, 1
         t = coeffs[j] * s
         step = step and t <= 0
         mirror = mirror and (t if j % 2 == 0 else -t) <= 0
         if not (step or mirror):
             break
-        if j < len(coeffs) - 1:
-            s, bracket = root_sign(coeffs[: j + 1], sq, bracket)
     return step, mirror
 
 
@@ -423,15 +435,38 @@ def descartes_matrix(n: int, bracket: Bracket) -> list[IntPoly]:
     return [tuple(col[i] if i < len(col) else 0 for col in cols) for i in range(n + 1)]
 
 
-def descartes_count(p: IntPoly, matrix: list[IntPoly]) -> int:
-    """Sign variations of the transform of p by `descartes_matrix(deg p, bracket)`.
+def descartes_count(transform: Sequence[int]) -> int:
+    """Sign variations of p's transform, `descartes_matrix(deg p, bracket)` times p.
 
     By Descartes' rule of signs this bounds the number of roots of p in the
     open bracket, counted with multiplicity, and exceeds it by an even
     number: 0 means no root there, and 1 exactly one simple root.
     """
-    signs = [v > 0 for v in (sum(map(operator.mul, row, p)) for row in matrix) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    signs = [v > 0 for v in transform if v]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def descartes_brackets(
+    p: IntPoly, bracket: Bracket, count: int, width: Fraction, matrices: dict
+) -> tuple[IntPoly, list[Bracket], IntPoly | None]:
+    """`isolate_brackets(p, [bracket])` by bisection on `descartes_count`, `count` on `bracket`.
+
+    Cells split at midpoints, as in `isolate_brackets`; `matrices`, one per degree,
+    caches their `descartes_matrix`.  Sturm's answer where a cell at most `width` wide still
+    counts 2 or more (a repeated root, or roots that close) or a midpoint is a root.
+    """
+    out, cells = [], [(bracket, count)]
+    while cells:
+        (A, B, D), count = cells.pop()
+        if count == 1:
+            out.append((A, B, D))
+        elif count:
+            if (B - A) * width.denominator <= width.numerator * D or sign_at_scaled(p, A + B, 2 * D) == 0:
+                return isolate_brackets(p, [bracket])
+            for cell in ((A + B, 2 * B, 2 * D), (2 * A, A + B, 2 * D)):  # the left one is popped first
+                matrix = matrices.get(cell) or matrices.setdefault(cell, descartes_matrix(len(p) - 1, cell))
+                cells.append((cell, descartes_count([sum(map(operator.mul, row, p)) for row in matrix])))
+    return p, out, None
 
 
 def isolate_roots(

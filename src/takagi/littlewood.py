@@ -6,14 +6,16 @@ A Littlewood polynomial has all coefficients +-1; its real roots lie in
 exactly the parameters where the associated fractal function has non-unique
 maximizers.  The scanner enumerates all sign patterns with rho_0 = +1 up to a
 degree bound and aggregates deterministic counts and histograms (the same
-totals independent of worker count).  Root isolation, refinement and the step
-test are the integer bracket walker of `intpoly` (`isolate_brackets`,
-`refine_bracket`, `step_root_at`); `real_roots` and `is_step_root` use the
-same walker, so the scan and the public API decide every root the same way.
-The scan searches (1/2, 2) only: P(-x) is again normalized, so a root x of P
-there is also booked as the negative root -x of P(-x), with both step flags
-from one prefix walk.  Descartes' bound over (1/2, 2) skips a polynomial at
-0 and isolates its one root at 1; only a bound of 2 or more builds a Sturm chain.
+totals independent of worker count).  Refinement and the step test are the
+integer bracket walker of `intpoly` (`refine_bracket`, `step_root_at`), which
+`real_roots` and `is_step_root` use too.  The scan searches (1/2, 2) only:
+P(-x) is again normalized, so a root x of P there is also booked as the
+negative root -x of P(-x), with both step flags from one prefix walk.  Masks go
+in Gray-code order, i ^ (i >> 1), so the Descartes transform over (1/2, 2) moves
+by twice one column per polynomial; Descartes bisection hands over to Sturm only
+where a cell of bin width (level 13) still counts 2 or more.  The output is the
+same either way: the only rational roots, +-1, are no grid points, so every
+isolating grid cell refines to the same cell of bin width.
 """
 
 from __future__ import annotations
@@ -214,23 +216,27 @@ def _scan_chunk(args) -> ScanSummary:
     degree, mask_lo, mask_hi, bins, collect = args
     out = _empty_summary(degree, bins)
     odd = sum(1 << j for j in range(0, degree, 2))  # mask ^ odd is the mask of P(-x)
-    matrix = intpoly.descartes_matrix(degree, _POSITIVE)
-    for mask in range(mask_lo, mask_hi):
-        coeffs = (1,) + tuple(-1 if (mask >> j) & 1 else 1 for j in range(degree))
-        bound = intpoly.descartes_count(coeffs, matrix)
+    cells = {_POSITIVE: intpoly.descartes_matrix(degree, _POSITIVE)}  # Descartes matrices by cell
+    columns = list(zip(*cells[_POSITIVE]))
+    coeffs = list(LittlewoodPoly.from_mask(degree, mask_lo ^ (mask_lo >> 1)).coeffs)
+    transform = [sum(a * c for a, c in zip(row, coeffs)) for row in cells[_POSITIVE]]
+    for i in range(mask_lo, mask_hi):
+        if i > mask_lo:  # mask i ^ (i >> 1) flips coefficient j of the one before
+            j = (i & -i).bit_length()
+            coeffs[j] = c = -coeffs[j]
+            transform = [t + 2 * c * v for t, v in zip(transform, columns[j])]
+        bound = intpoly.descartes_count(transform)
         if bound == 0:
             continue
-        if bound == 1:  # one simple root, which the annulus isolates
-            sq, brackets, repeated = coeffs, [_POSITIVE], None
-        else:
-            sq, brackets, repeated = intpoly.isolate_brackets(coeffs, [_POSITIVE])
+        mask, p = i ^ (i >> 1), tuple(coeffs)
+        sq, brackets, repeated = intpoly.descartes_brackets(p, _POSITIVE, bound, _BIN_WIDTH, cells)
         while repeated is not None:  # a root of multiplicity m is seen at m levels
             chain = intpoly.sturm_chain(repeated)
             out.pos_roots_with_multiplicity += intpoly.count_roots(chain, POS_LO, POS_HI)
             repeated = chain[-1] if intpoly.degree(chain[-1]) >= 1 else None
         for bracket in brackets:
             A, B, D = bracket = intpoly.refine_bracket(sq, bracket, _BIN_WIDTH)
-            step, mirror = intpoly.step_root_at(coeffs, sq, bracket)
+            step, mirror = intpoly.step_root_at(p, sq, bracket)
             out.pos_roots += 1
             out.pos_step_roots += step
             out.neg_step_roots += mirror
@@ -261,10 +267,9 @@ def scan(
 
     Enumerates all 2^n sign patterns per degree n in [1, max_degree]; each
     distinct real root of each polynomial counts once.  Negative roots are
-    the mirrored positive ones, and the Sturm chain is skipped where
-    Descartes' bound is 0 or 1 (see the module docstring).  Work is split into
-    contiguous mask ranges; merging is a plain sum, so totals do not depend
-    on `jobs`.
+    the mirrored positive ones, isolated by Descartes bisection (see the
+    module docstring).  Work is split into contiguous ranges of Gray-code
+    indices; merging is a plain sum, so totals do not depend on `jobs`.
     """
     if not (1 <= max_degree <= MAX_SCAN_DEGREE):
         raise BudgetError("max_degree must lie in 1..%d" % MAX_SCAN_DEGREE)

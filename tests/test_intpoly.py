@@ -1,5 +1,6 @@
 """Integer polynomial toolkit: arithmetic, Sturm chains, root isolation."""
 
+import operator
 import random
 from fractions import Fraction as F
 
@@ -243,7 +244,7 @@ def test_descartes_count_bounds_the_roots_in_a_bracket(coeffs, kbits, a, w):
     A, B, D = a, a + w, 1 << kbits
     sa, sb = ip.sign_at_scaled(p, A, D), ip.sign_at_scaled(p, B, D)
     assume(sa != 0 and sb != 0)
-    count = ip.descartes_count(p, ip.descartes_matrix(ip.degree(p), (A, B, D)))
+    count = ip.descartes_count([sum(map(operator.mul, row, p)) for row in ip.descartes_matrix(ip.degree(p), (A, B, D))])
     x = sympy.Symbol("x")
     lo, hi = sympy.Rational(A, D), sympy.Rational(B, D)
     with_multiplicity = len([r for r in sympy.Poly(list(reversed(p)), x).real_roots() if lo < r < hi])
@@ -255,18 +256,21 @@ def test_descartes_count_bounds_the_roots_in_a_bracket(coeffs, kbits, a, w):
         assert with_multiplicity == 1 and sa * sb < 0
 
 
-def test_squarefree_part_from_the_chain_matches_squarefree_part():
-    # isolate_brackets divides p by the last member of its Sturm chain; on
-    # every non-squarefree normalized Littlewood polynomial of degree <= 12
-    # that is the gcd-based squarefree_part
-    seen = 0
+def test_repeated_parts_match_sympy_gcd():
+    # sympy's gcd(p, p') has positive degree on exactly the normalized
+    # Littlewood polynomials of degree <= 12 where squarefree_chain finds a
+    # repeated part
+    x = sympy.Symbol("x")
+    ours, theirs = set(), set()
     for d in range(1, 13):
         for mask in range(2**d):
             p = (1,) + tuple(-1 if (mask >> j) & 1 else 1 for j in range(d))
-            if ip.degree(ip.sturm_chain(p)[-1]) >= 1:
-                seen += 1
-                assert ip.isolate_brackets(p, [(1, 4, 2)])[0] == ip.squarefree_part(p)
-    assert seen == 74
+            if ip.squarefree_chain(p)[2] is not None:
+                ours.add((d, mask))
+            sp = sympy.Poly(list(reversed(p)), x)
+            if sympy.gcd(sp, sp.diff(x)).degree() > 0:
+                theirs.add((d, mask))
+    assert ours == theirs and len(ours) == 74
 
 
 def test_squarefree_part_and_chain_match_sympy_sqf_part():

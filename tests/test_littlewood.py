@@ -1,9 +1,11 @@
 """Littlewood scans: root isolation, step roots, totals, determinism."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import random
 from fractions import Fraction as F
 
@@ -140,11 +142,33 @@ def _non_dyadic_brackets(p, root):
     return out
 
 
+def _brackets_across_zero(p, root):
+    """The same root on base brackets stretched across 0, to -+1/3 and past -+x, where they still isolate it."""
+    edge = root.hi if root.lo > 0 else root.lo  # the end away from 0
+    out = []
+    for reach in (F(1, 3), abs(edge) + F(1, 3)):
+        try:
+            out.append(sc.algebraic(p.coeffs, *sorted((edge, -reach if edge > 0 else reach))))
+        except ValueError:
+            pass
+    return out
+
+
+def _descartes_brackets(coeffs, cells=None):
+    """The scan's (squarefree part, brackets, repeated part) of the roots in (1/2, 2)."""
+    matrix = ip.descartes_matrix(ip.degree(coeffs), lw._POSITIVE)
+    count = ip.descartes_count([sum(map(operator.mul, row, coeffs)) for row in matrix])
+    return ip.descartes_brackets(coeffs, lw._POSITIVE, count, lw._BIN_WIDTH, {} if cells is None else cells)
+
+
 def test_fast_step_matches_public_api():
-    # the scan's path (walker brackets at bin width) and `is_step_root` on
-    # every root form against an independent Scalar prefix loop
+    # the one step test on every bracket shape it is given, against an
+    # independent Scalar prefix loop: the scan's Descartes brackets and the
+    # Sturm brackets of both annuli at bin width, `is_step_root` on base
+    # roots, on base brackets widened by 1/3^k or stretched across 0, and on
+    # the exact brackets (x, x, 1) at x = +-1
     rng = random.Random(123)
-    non_dyadic = 0
+    shapes = dict.fromkeys(("descartes", "negative", "non_dyadic", "across_zero", "exact"), 0)
     for _ in range(120):
         deg = rng.randint(1, 9)
         p = lw.LittlewoodPoly.from_mask(deg, rng.randrange(1 << deg))
@@ -153,16 +177,70 @@ def test_fast_step_matches_public_api():
         roots = lw.real_roots(p)
         reference = [_scalar_step_reference(p, r) for r in roots]
         assert scan == reference == [lw.is_step_root(p, r) for r in roots], p
+        assert [ip.step_root_at(p.coeffs, sq, b)[0] for b in brackets] == reference, p
+        shapes["negative"] += sum(b[0] < 0 for b in brackets)
+        dsq, positive, _ = _descartes_brackets(p.coeffs)
+        got = [ip.step_root_at(p.coeffs, dsq, ip.refine_bracket(dsq, b, lw._BIN_WIDTH))[0] for b in positive]
+        assert got == [want for b, want in zip(brackets, reference) if b[0] > 0], p
+        shapes["descartes"] += len(positive)
         for r, expected in zip(roots, reference):
             if isinstance(r, sc.AlgebraicScalar):
                 for other in _non_dyadic_brackets(p, r):
                     assert other.hi.denominator % 3 == 0
                     assert lw.is_step_root(p, other) == expected, (p, other)
-                    non_dyadic += 1
+                    shapes["non_dyadic"] += 1
+                for across in _brackets_across_zero(p, r):
+                    A, B, D = across.root.base
+                    assert A < 0 < B
+                    assert lw.is_step_root(p, across) == expected, (p, across)
+                    assert ip.step_root_at(p.coeffs, across.poly, (A, B, D))[0] == expected, (p, across)
+                    shapes["across_zero"] += 1
         for x in lw.rational_root_filter(p):
             one = sc.rational(x)
             assert lw.is_step_root(p, one) == _scalar_step_reference(p, one), (p, x)
-    assert non_dyadic > 100
+            assert ip.step_root_at(p.coeffs, p.coeffs, (x, x, 1))[0] == _scalar_step_reference(p, one), (p, x)
+            shapes["exact"] += 1
+    assert shapes["non_dyadic"] > 100 and min(shapes.values()) > 10, shapes
+
+
+def test_descartes_brackets_refine_to_the_sturm_brackets(monkeypatch):
+    # on the bisection grid of (1/2, 2), which holds neither rational root +-1,
+    # Descartes and Sturm isolation refine to the same cells of bin width,
+    # bracket for bracket, at every normalized degree <= 10; Descartes hands
+    # over to Sturm only where a cell of bin width still counts 2 or more,
+    # here always at a repeated root
+    sturm, handed_over = ip.isolate_brackets, []
+    monkeypatch.setattr(ip, "isolate_brackets", lambda p, intervals: handed_over.append(p) or sturm(p, intervals))
+    for degree in range(1, 11):
+        cells = {}
+        for mask in range(1 << degree):
+            p = lw.LittlewoodPoly.from_mask(degree, mask).coeffs
+            sq, brackets, repeated = sturm(p, [lw._POSITIVE])
+            want = [ip.refine_bracket(sq, b, lw._BIN_WIDTH) for b in brackets]
+            before = len(handed_over)
+            dsq, got, drepeated = _descartes_brackets(p, cells)
+            assert [ip.refine_bracket(dsq, b, lw._BIN_WIDTH) for b in got] == want, p
+            if len(handed_over) > before:
+                assert ip.count_roots(ip.sturm_chain(repeated), lw.POS_LO, lw.POS_HI) > 0, p
+            else:
+                assert (dsq, drepeated) == (p, None), p
+    assert len(handed_over) == 5 and (1, -1, -1, 1) in handed_over
+    # (1 - x)^2 (1 + x), mask 0b011, is visited first at Gray-code index 2:
+    # one distinct root in (1/2, 2), booked twice with multiplicity
+    out = lw._scan_chunk((3, 2, 3, 200, False))
+    assert (out.pos_roots, out.pos_roots_with_multiplicity) == (1, 2)
+
+
+def test_scan_11_kernel_calls(monkeypatch):
+    # work, not wall clock: one scan(11) builds Sturm chains only where
+    # Descartes bisection hands over (and for the repeated parts there), and
+    # asks root_sign only for a prefix the running enclosure leaves open
+    calls = collections.Counter()
+    for name in ("sturm_chain", "root_sign"):
+        kernel = getattr(ip, name)
+        monkeypatch.setattr(ip, name, lambda *a, _kernel=kernel, _name=name: calls.update([_name]) or _kernel(*a))
+    lw.scan(11)
+    assert calls == {"sturm_chain": 106, "root_sign": 878}
 
 
 def test_is_step_root_rejects_non_roots_and_other_forms():
