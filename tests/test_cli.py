@@ -373,3 +373,23 @@ def test_figure_two_and_three_digests(tmp_path, capsys):
         assert code == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_littlewood_and_figure_one_digests(tmp_path, capsys):
+    # sha256 of four outputs as written when each root was isolated twice:
+    # once by the scan and again by real_roots
+    def digest(data):
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    code, out, _ = run(capsys, "littlewood", "steproots", "--max-degree", "10")
+    assert code == 0
+    assert digest(out) == "a78b484e5e090135f1bb648d466baae5430c682d3655b3c1517020f6098ac352"
+    code, _, _ = run(capsys, "littlewood", "scan", "--max-degree", "10", "--out", str(tmp_path / "roots.csv"))
+    assert code == 0
+    assert digest((tmp_path / "roots.csv").read_bytes()) == "ee18ac1f4c61127ed2732546afad15147f3b58ca90a01f182560bce801c82d8c"
+    code, out, _ = run(capsys, "littlewood", "gaps", "--max-degree", "10")
+    assert code == 0
+    assert digest(out) == "2a0017de29c153c7b1b43b5148c00ceca06e4a07110a86b97b1bf62de8936091"
+    code, _, _ = run(capsys, "figure", "1", "--points", "99", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert digest((tmp_path / "fig1_maximizer_curve.csv").read_bytes()) == "14d03818374a2f00b0a70fa129228754a582cbb0892fe3d08ba9accea866f601"
