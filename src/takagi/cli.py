@@ -41,6 +41,7 @@ from .scalars import (
     RationalScalar,
     Scalar,
     algebraic,
+    frac_str,
     scalar_decimal,
     scalar_enclosure,
     scalar_to_json,
@@ -121,15 +122,11 @@ def _write_sidecar(path: str, args) -> None:
         json.dump(meta, f, indent=1, sort_keys=True, default=str)
 
 
-def _frac(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
 def _location_dict(loc: step_engine.Location) -> dict:
     out = {
-        "exact": _frac(loc.exact) if loc.exact is not None else None,
-        "approx": _frac(loc.approx),
-        "error": _frac(loc.error),
+        "exact": frac_str(loc.exact) if loc.exact is not None else None,
+        "approx": frac_str(loc.approx),
+        "error": frac_str(loc.error),
         "decimal": scalar_decimal(RationalScalar(loc.approx), DIGITS),
     }
     if loc.exact is None and is_dyadic(loc.approx):
@@ -151,11 +148,11 @@ def report_to_dict(report: step_engine.ExtremaReport) -> dict:
             "kind": card.kind,
             "count": card.count,
             "block_length": card.block_length,
-            "hausdorff_dim": _frac(card.hausdorff_dim) if card.hausdorff_dim else None,
+            "hausdorff_dim": frac_str(card.hausdorff_dim) if card.hausdorff_dim else None,
             "certified_depth": card.depth,
         },
         "locations": [
-            {"exact": _frac(t), "decimal": scalar_decimal(RationalScalar(t), DIGITS)}
+            {"exact": frac_str(t), "decimal": scalar_decimal(RationalScalar(t), DIGITS)}
             for t in report.locations
         ]
         if report.locations
@@ -261,7 +258,7 @@ def cmd_eval(args) -> int:
         lo, hi = enc.lo, enc.hi
         exact = None
     out = {
-        "t": _frac(t),
+        "t": frac_str(t),
         "lo": scalar_decimal(RationalScalar(lo), DIGITS),
         "hi": scalar_decimal(RationalScalar(hi), DIGITS),
         "exact": exact,
@@ -286,8 +283,8 @@ def cmd_littlewood_scan(args) -> int:
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["degree", "mask", "root", "is_step_root"])
-            for poly, root, step in littlewood.flagged_roots(summary.roots_seen, Fraction(1, 2**107)):
-                w.writerow([poly.degree, poly.mask(), scalar_decimal(root, DIGITS), step])
+            for rec in littlewood.root_records(summary.roots_seen, Fraction(1, 2**107)):
+                w.writerow([rec.degree, rec.poly.mask(), scalar_decimal(rec.root, DIGITS), rec.is_step_root])
         _write_sidecar(args.out, args)
     return 0
 
@@ -309,9 +306,7 @@ def cmd_littlewood_steproots(args) -> int:
 
 def cmd_littlewood_gaps(args) -> int:
     summary = littlewood.scan(args.max_degree, jobs=args.jobs, collect_roots=True)
-    gaps = littlewood.closure_gap_report(
-        [r[2] for r in summary.roots_seen], parse_rational(args.resolution)
-    )
+    gaps = littlewood.closure_gap_report(summary.midpoints(), parse_rational(args.resolution))
     print(json.dumps({"resolution": args.resolution, "gaps": gaps}, indent=1))
     return 0
 
@@ -334,26 +329,17 @@ def cmd_figure(args) -> int:
         with _open_csv(path, args) as f:
             w = csv.writer(f)
             w.writerow(["alpha", "tau_sharp", "tau_flat", "max_value", "cardinality", "dim", "exact", "regime"])
-            for tp in landsberg.tau_curve(grid, args.depth):
-                report = landsberg.maxima(tp.alpha, args.depth)
-                card = report.cardinality
-                if card.kind == "finite":
-                    card_text = "finite:%d" % card.count
-                elif card.kind == "continuum":
-                    card_text = "continuum"
-                else:
-                    card_text = "unknown"
+            for alpha in grid:
+                report = landsberg.maxima(alpha, args.depth)
+                card, smallest, largest = report.cardinality, report.smallest, report.largest
                 mid = (report.value_lo + report.value_hi) / 2
                 w.writerow(
-                    [
-                        scalar_decimal(tp.alpha, DIGITS),
-                        scalar_decimal(RationalScalar(tp.sharp), DIGITS),
-                        scalar_decimal(RationalScalar(tp.flat), DIGITS),
-                        scalar_decimal(RationalScalar(mid), DIGITS),
-                        card_text,
-                        _frac(card.hausdorff_dim) if card.hausdorff_dim else "",
-                        int(tp.exact),
-                        tp.regime,
+                    [scalar_decimal(x, DIGITS) for x in (alpha, smallest.approx, largest.approx, mid)]
+                    + [
+                        "finite:%d" % card.count if card.kind == "finite" else card.kind,
+                        frac_str(card.hausdorff_dim) if card.hausdorff_dim else "",
+                        int(smallest.exact is not None and largest.exact is not None),
+                        landsberg.classify_alpha(alpha).variant,
                     ]
                 )
         print(path)

@@ -129,6 +129,10 @@ class ScanSummary:
                 mine[i] += v
         self.roots_seen.extend(other.roots_seen)
 
+    def midpoints(self) -> list[float]:
+        """The recorded root midpoints, in the order of `roots_seen`."""
+        return [r[2] for r in self.roots_seen]
+
     def to_json_dict(self) -> dict:
         return {
             "max_degree": self.max_degree,
@@ -165,17 +169,21 @@ def _empty_summary(max_degree: int, bins: int) -> ScanSummary:
 
 
 def real_roots(p: LittlewoodPoly, width: Fraction = ROOT_WIDTH) -> list[Scalar]:
-    """All distinct real roots, isolated to `width` inside the root annulus.
-
-    Each root is `refine` of the walker's certified bracket of the
-    squarefree part, the base root ``algebraic(p.coeffs, lo, hi)`` would
-    give, without a second Sturm count; a linear part or a midpoint on the
-    root is rational.
-    """
+    """All distinct real roots, isolated to `width` inside the root annulus: each is `_root_in`
+    the walker's certified bracket of the squarefree part, as ``algebraic(p.coeffs, lo, hi)``."""
     sq, brackets, _repeated = intpoly.isolate_brackets(p.coeffs, _ANNULUS)
+    return [_root_in(sq, bracket, width) for bracket in brackets]
+
+
+def _root_in(sq: intpoly.IntPoly, bracket: intpoly.Bracket, width: Fraction) -> Scalar:
+    """The root of the squarefree `sq` isolated by `bracket`, refined below `width`; rational when
+    `sq` is linear or a midpoint hits the root.  Raises unless `sq` changes sign across the bracket."""
+    A, B, D = bracket
+    if intpoly.sign_at_scaled(sq, A, D) * intpoly.sign_at_scaled(sq, B, D) >= 0:
+        raise ValueError("bracket %s does not isolate a root of %s" % (bracket, sq))
     if intpoly.degree(sq) == 1:
-        return [RationalScalar(Fraction(-sq[0], sq[1]))] * len(brackets)
-    return [refine(AlgebraicScalar(sq, (0, 1), 1, _Root(sq, bracket)), width) for bracket in brackets]
+        return RationalScalar(Fraction(-sq[0], sq[1]))
+    return refine(AlgebraicScalar(sq, (0, 1), 1, _Root(sq, bracket)), width)
 
 
 def rational_root_filter(p: LittlewoodPoly) -> list[int]:
@@ -298,19 +306,22 @@ def scan(
 def step_root_records(max_degree: int, jobs: int = 1) -> list[RootRecord]:
     """Full RootRecords for every step root up to max_degree (exact scalars)."""
     summary = scan(max_degree, jobs=jobs, collect_roots=True)
-    with_steps = {r[:2] for r in summary.roots_seen if r[3]}
-    seen = [r for r in summary.roots_seen if r[:2] in with_steps]
-    return [RootRecord(poly, root, True, poly.degree) for poly, root, step in flagged_roots(seen) if step]
+    return list(root_records([r for r in summary.roots_seen if r[3]]))
 
 
-def flagged_roots(roots_seen, width: Fraction = ROOT_WIDTH):
-    """(poly, root, is_step_root) per entry of a sorted `roots_seen`: `real_roots` at `width`,
-    left to right as the sorted midpoints are, with the scan's own step flag."""
+def root_records(roots_seen, width: Fraction = ROOT_WIDTH):
+    """A RootRecord per entry of a sorted `roots_seen`, its root `_root_in` the entry's scan cell.
+
+    Every scan cell is a cell of the bisection of (1/2, 2), or its mirror: (A, A + 3, D) with D a
+    power of 2.  Its midpoint (2A + 3) / 2D is an exact float in lowest terms, so the recorded
+    midpoint gives back the cell.  The squarefree part is taken once per polynomial.
+    """
     for (degree, mask), group in groupby(roots_seen, key=lambda r: r[:2]):
         poly = LittlewoodPoly.from_mask(degree, mask)
-        roots, flags = real_roots(poly, width), [r[3] for r in group]
-        assert len(roots) == len(flags), (degree, mask)
-        yield from ((poly, root, step) for root, step in zip(roots, flags))
+        sq = intpoly.squarefree_part(poly.coeffs)
+        for _, _, mid, step in group:
+            n, d = mid.as_integer_ratio()
+            yield RootRecord(poly, _root_in(sq, ((n - 3) // 2, (n + 3) // 2, d // 2), width), step, degree)
 
 
 def closure_gap_report(

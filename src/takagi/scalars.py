@@ -759,7 +759,7 @@ def scalar_decimal(a, digits: int = 30) -> str:
     return str(d)
 
 
-def _frac_str(x: Fraction) -> str:
+def frac_str(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
@@ -775,11 +775,11 @@ def scalar_to_json(a) -> dict:
         out = {
             "type": "algebraic",
             "poly": list(a.poly),
-            "lo": _frac_str(a.lo),
-            "hi": _frac_str(a.hi),
+            "lo": frac_str(a.lo),
+            "hi": frac_str(a.hi),
         }
         if not a.is_base_root():
-            out["value"] = [_frac_str(c) for c in a.value]
+            out["value"] = [frac_str(c) for c in a.value]
         return out
     return {
         "type": "interval",

@@ -547,3 +547,29 @@ def test_real_roots_are_the_base_roots_algebraic_builds():
                     assert root == sc.RationalScalar(F(A, D))
                 else:
                     assert root == sc.algebraic(p.coeffs, F(A, D), F(B, D)), (p, root)
+
+
+def test_root_records_are_the_real_roots():
+    # each root comes from its scan cell, not a second isolation; it must be
+    # the real_roots entry itself (object equality compares the bracket too),
+    # for mirrored negative roots and the repeated root of (1-x)^2 (1+x) alike
+    s = lw.scan(10, collect_roots=True)
+    records = collections.defaultdict(list)
+    for rec in lw.root_records(s.roots_seen):
+        records[rec.poly].append(rec)
+    assert sum(map(len, records.values())) == s.total_roots
+    assert lw.LittlewoodPoly((1, -1, -1, 1)) in records
+    for poly, recs in records.items():
+        assert [rec.root for rec in recs] == lw.real_roots(poly), poly
+        assert [rec.is_step_root for rec in recs] == [lw.is_step_root(poly, rec.root) for rec in recs], poly
+    steps = [rec for recs in records.values() for rec in recs if rec.is_step_root]
+    assert lw.step_root_records(10) == steps
+
+
+def test_a_cell_without_a_sign_change_is_refused():
+    sq = lw.LittlewoodPoly((1, -1, -1)).coeffs  # roots -1.618... and 0.618...
+    assert lw._root_in(sq, (2, 5, 4), lw.ROOT_WIDTH) == lw.real_roots(lw.LittlewoodPoly(sq))[1]
+    with pytest.raises(ValueError):
+        lw._root_in(sq, (5, 8, 4), lw.ROOT_WIDTH)
+    with pytest.raises(ValueError):
+        list(lw.root_records([(2, 3, 1.625, False)]))
