@@ -61,7 +61,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def parse_alpha(text: str) -> Scalar:
@@ -83,14 +86,14 @@ def parse_alpha(text: str) -> Scalar:
 def parse_sequence(args) -> object:
     if args.alpha is not None:
         return Geometric(parse_alpha(args.alpha))
-    if args.seq is None:
-        raise ValueError("one of --alpha or --seq is required")
     if args.seq == "power-squared":
         return PowerSquared()
     if args.seq.startswith("file:"):
         path = args.seq[5:]
         with open(path) as f:
             data = json.load(f)
+        if not isinstance(data, list):
+            raise ValueError("%s does not hold a JSON list" % path)
         values = [parse_rational(str(v)) for v in data]
         return FiniteSupport(values)
     raise ValueError("unknown sequence spec %r" % args.seq)
@@ -283,7 +286,7 @@ def cmd_littlewood_scan(args) -> int:
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["degree", "mask", "root", "is_step_root"])
-            for rec in littlewood.root_records(summary.roots_seen, Fraction(1, 2**107)):
+            for rec in littlewood.root_records(summary.roots_seen):
                 w.writerow([rec.degree, rec.poly.mask(), scalar_decimal(rec.root, DIGITS), rec.is_step_root])
         _write_sidecar(args.out, args)
     return 0
@@ -305,8 +308,9 @@ def cmd_littlewood_steproots(args) -> int:
 
 
 def cmd_littlewood_gaps(args) -> int:
+    resolution = parse_rational(args.resolution)
     summary = littlewood.scan(args.max_degree, jobs=args.jobs, collect_roots=True)
-    gaps = littlewood.closure_gap_report(summary.midpoints(), parse_rational(args.resolution))
+    gaps = littlewood.closure_gap_report(summary.midpoints(), resolution)
     print(json.dumps({"resolution": args.resolution, "gaps": gaps}, indent=1))
     return 0
 
@@ -478,8 +482,9 @@ def _add_options(p, *names):
 
 
 def _add_sequence(p):
-    p.add_argument("--alpha", help="rational, decimal, sqrt2, golden, or root:<poly>:<lo>:<hi>")
-    p.add_argument("--seq", help="power-squared or file:<path> (JSON list of rationals)")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--alpha", help="rational, decimal, sqrt2, golden, or root:<poly>:<lo>:<hi>")
+    g.add_argument("--seq", help="power-squared or file:<path> (JSON list of rationals)")
 
 
 def build_parser() -> _Parser:

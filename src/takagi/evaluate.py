@@ -35,12 +35,13 @@ from .scalars import (
     RationalScalar,
     Scalar,
     eval_int_poly,
+    resolved_sign,
     scalar_add,
     scalar_div,
     scalar_enclosure,
     scalar_mul,
     scalar_pow,
-    scalar_sign,
+    scalar_sign,  # unused here; bench/test_bench.py reads evaluate.scalar_sign
     scalar_sub,
 )
 
@@ -210,9 +211,9 @@ class Geometric(CoefficientSequence):
 
     def __init__(self, alpha):
         self.alpha = scalars._as_scalar(alpha)
-        if scalar_sign(scalar_add(self.alpha, Fraction(2))).sign != 1:
+        if resolved_sign(scalar_add(self.alpha, Fraction(2)), "alpha + 2") <= 0:
             raise DomainError("alpha must exceed -2")
-        if scalar_sign(scalar_sub(Fraction(2), self.alpha)).sign != 1:
+        if resolved_sign(scalar_sub(Fraction(2), self.alpha), "2 - alpha") <= 0:
             raise DomainError("alpha must be below 2")
         self._ratio = scalar_mul(self.alpha, Fraction(1, 2))
 

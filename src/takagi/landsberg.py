@@ -39,6 +39,7 @@ from .scalars import (
     RationalScalar,
     Scalar,
     algebraic,
+    resolved_sign,
     scalar_add,
     scalar_div,
     scalar_enclosure,
@@ -110,27 +111,20 @@ def solve_alpha_n(n: int) -> Scalar:
     return algebraic(sum_poly(n), Fraction(1, 2), Fraction(1))
 
 
-def _sign_or_raise(x, what: str) -> int:
-    s = scalar_sign(x)
-    if not s.resolved:
-        raise PrecisionError("%s unresolved (width %s)" % (what, scalars._show(s.width)))
-    return s.sign
-
-
 def _q_sign(alpha: Scalar, k: int) -> int:
     """Sign of q_{2k}(alpha) = 1 - 2 alpha + alpha^(2k+1), the power taken by squaring."""
     q = scalar_add(scalar_sub(Fraction(1), scalar_mul(alpha, 2)), scalar_pow(alpha, 2 * k + 1))
-    return _sign_or_raise(q, "q_%d(alpha)" % (2 * k))
+    return resolved_sign(q, "q_%d(alpha)" % (2 * k))
 
 
 def classify_alpha(alpha) -> AlphaRegime:
     """Locate alpha among the four regimes; neg_steep boundaries are exact."""
     alpha = scalars._as_scalar(alpha)
-    if _sign_or_raise(scalar_add(alpha, 2), "alpha + 2") <= 0:
+    if resolved_sign(scalar_add(alpha, 2), "alpha + 2") <= 0:
         raise DomainError("alpha must lie in (-2, 2)")
-    if _sign_or_raise(scalar_sub(Fraction(2), alpha), "2 - alpha") <= 0:
+    if resolved_sign(scalar_sub(Fraction(2), alpha), "2 - alpha") <= 0:
         raise DomainError("alpha must lie in (-2, 2)")
-    s1 = _sign_or_raise(scalar_add(alpha, 1), "alpha + 1")
+    s1 = resolved_sign(scalar_add(alpha, 1), "alpha + 1")
     if s1 < 0:
         # find the largest n with x_n <= alpha, via signs of q_{2n}(alpha):
         # q is increasing on (-2, -1), so alpha >= x_n iff q_{2n}(alpha) >= 0;
@@ -149,9 +143,9 @@ def classify_alpha(alpha) -> AlphaRegime:
         if s == 0:
             return AlphaRegime(NEG_STEEP, k, True)
         return AlphaRegime(NEG_STEEP, n)
-    if _sign_or_raise(scalar_sub(alpha, Fraction(1, 2)), "alpha - 1/2") <= 0:
+    if resolved_sign(scalar_sub(alpha, Fraction(1, 2)), "alpha - 1/2") <= 0:
         return AlphaRegime(MIDDLE)
-    if _sign_or_raise(scalar_sub(alpha, 1), "alpha - 1") <= 0:
+    if resolved_sign(scalar_sub(alpha, 1), "alpha - 1") <= 0:
         return AlphaRegime(CRITICAL)
     return AlphaRegime(POS_STEEP)
 
@@ -205,7 +199,7 @@ def extremizers(alpha: Scalar, regime: AlphaRegime, kind: str) -> tuple[Fraction
     if kind == "min":
         if regime.variant == NEG_STEEP:
             pair = Fraction(1, 5), Fraction(1, 5)
-        elif _sign_or_raise(scalar_add(alpha, 1), "alpha + 1") == 0:
+        elif resolved_sign(scalar_add(alpha, 1), "alpha + 1") == 0:
             return Fraction(0), Fraction(1, 4), Cardinality.continuum(2)
         else:
             pair = Fraction(0), Fraction(0)
@@ -361,9 +355,9 @@ def tabor_C(alpha, target_width=Fraction(1, 10**9)) -> Scalar:
     (2a-1)^e > 0, and e ln(2a-1) < -2a ln 2 gives p < 1/2) in `_enclose`.
     """
     alpha = scalars._as_scalar(alpha)
-    if _sign_or_raise(scalar_sub(alpha, Fraction(1, 2)), "alpha - 1/2") <= 0:
+    if resolved_sign(scalar_sub(alpha, Fraction(1, 2)), "alpha - 1/2") <= 0:
         raise DomainError("C(alpha) defined on (1/2, 1]")
-    s1 = _sign_or_raise(scalar_sub(alpha, 1), "alpha - 1")
+    s1 = resolved_sign(scalar_sub(alpha, 1), "alpha - 1")
     if s1 > 0:
         raise DomainError("C(alpha) defined on (1/2, 1]")
     if s1 == 0:

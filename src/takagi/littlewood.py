@@ -30,7 +30,7 @@ from .scalars import AlgebraicScalar, RationalScalar, Scalar, _Root, refine
 
 NEG_LO, NEG_HI = Fraction(-2), Fraction(-1, 2)
 POS_LO, POS_HI = Fraction(1, 2), Fraction(2)
-ROOT_WIDTH = Fraction(1, 2**40)
+ROOT_WIDTH = Fraction(1, 2**107)  # coarser than the 10^-36 of 30 printed digits, so they do not depend on it
 _BIN_WIDTH = Fraction(1, 2**12)  # isolation width for binning inside the scan
 _ANNULUS = ((-4, -1, 2), (1, 4, 2))  # (-2, -1/2) and (1/2, 2) as brackets
 _POSITIVE = _ANNULUS[1]
@@ -309,7 +309,7 @@ def step_root_records(max_degree: int, jobs: int = 1) -> list[RootRecord]:
     return list(root_records([r for r in summary.roots_seen if r[3]]))
 
 
-def root_records(roots_seen, width: Fraction = ROOT_WIDTH):
+def root_records(roots_seen):
     """A RootRecord per entry of a sorted `roots_seen`, its root `_root_in` the entry's scan cell.
 
     Every scan cell is a cell of the bisection of (1/2, 2), or its mirror: (A, A + 3, D) with D a
@@ -321,7 +321,7 @@ def root_records(roots_seen, width: Fraction = ROOT_WIDTH):
         sq = intpoly.squarefree_part(poly.coeffs)
         for _, _, mid, step in group:
             n, d = mid.as_integer_ratio()
-            yield RootRecord(poly, _root_in(sq, ((n - 3) // 2, (n + 3) // 2, d // 2), width), step, degree)
+            yield RootRecord(poly, _root_in(sq, ((n - 3) // 2, (n + 3) // 2, d // 2), ROOT_WIDTH), step, degree)
 
 
 def closure_gap_report(

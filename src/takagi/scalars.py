@@ -389,21 +389,32 @@ def _sign_of_fraction(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
-    """Rebase two algebraic scalars onto a common defining polynomial.
+def _holds(outer: _Root, inner: _Root) -> bool:
+    """Whether outer's base bracket contains inner's."""
+    (A, B, D), (a, b, d) = outer.base, inner.base
+    return A * d <= a * D and b * D <= B * d
 
-    Works when their roots have one base bracket and their polynomials share
-    the root there (e.g. one was localized during inversion): both reduce mod
-    the gcd, which still isolates the same root.  Returns None if impossible.
+
+def _try_unify(a: AlgebraicScalar, b: AlgebraicScalar):
+    """Rebase two algebraic scalars onto one root and a common defining polynomial.
+
+    Works when one root's base bracket holds the other's (e.g. one was `refine`d
+    from the other) and their polynomials share the root in the narrower one (e.g.
+    one was localized during inversion): both reduce mod the gcd on the narrower
+    root, which isolates that root of the gcd.  Returns None if impossible.
     """
-    if a.root != b.root:
-        return None
-    if a.poly == b.poly:
+    if a.root == b.root and a.poly == b.poly:
         return a, b
-    g = intpoly.poly_gcd(a.poly, b.poly)
-    if not intpoly.has_root(g, a.root.base):
+    if _holds(b.root, a.root):
+        root = a.root
+    elif _holds(a.root, b.root):
+        root = b.root
+    else:
         return None
-    return _on(a, a.nums, a.den, g), _on(b, b.nums, b.den, g)
+    g = a.poly if a.poly == b.poly else intpoly.poly_gcd(a.poly, b.poly)
+    if not intpoly.has_root(g, root.base):
+        return None
+    return _canonical(g, a.nums, a.den, root), _canonical(g, b.nums, b.den, root)
 
 
 def _as_scalar(x) -> Scalar:
@@ -628,12 +639,17 @@ def scalar_sign(a, precision_budget: int = DEFAULT_DOUBLING_ROUNDS) -> SignResul
     return SignResult(None, hi - lo)
 
 
-def scalar_is_zero(a) -> bool:
-    """Exact zero test; raises for an unresolvable straddling interval."""
+def resolved_sign(a, what: str) -> int:
+    """The sign of `a`, or PrecisionError("<what> unresolved (width W)") when it stays unresolved."""
     s = scalar_sign(a)
     if not s.resolved:
-        raise PrecisionError("zero test unresolved at final width %s" % _show(s.width))
-    return s.sign == 0
+        raise PrecisionError("%s unresolved (width %s)" % (what, _show(s.width)))
+    return s.sign
+
+
+def scalar_is_zero(a) -> bool:
+    """Exact zero test; raises PrecisionError for an unresolvable straddling interval."""
+    return resolved_sign(a, "zero test") == 0
 
 
 def scalar_eq(a, b) -> bool:

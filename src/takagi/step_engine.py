@@ -476,6 +476,8 @@ def _trace(c, kind, tie, depth, run) -> StepTrace:
 
 
 def _build_trace(c, kind, tie, depth) -> StepTrace:
+    if tie not in ("sharp", "flat"):
+        raise ValueError("variant must be 'sharp' or 'flat'")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     return _trace(c, kind, tie, depth, _run(c, kind, tie, depth))
@@ -483,15 +485,11 @@ def _build_trace(c, kind, tie, depth) -> StepTrace:
 
 def build_rho(c: CoefficientSequence, variant: str, depth: int = DEFAULT_DEPTH) -> StepTrace:
     """Greedy maximizer recursion; variant 'sharp' -> smallest, 'flat' -> largest."""
-    if variant not in ("sharp", "flat"):
-        raise ValueError("variant must be 'sharp' or 'flat'")
     return _build_trace(c, "max", variant, depth)
 
 
 def build_lambda(c: CoefficientSequence, variant: str, depth: int = DEFAULT_DEPTH) -> StepTrace:
     """Greedy minimizer recursion (sign-swapped comparisons)."""
-    if variant not in ("sharp", "flat"):
-        raise ValueError("variant must be 'sharp' or 'flat'")
     return _build_trace(c, "min", variant, depth)
 
 

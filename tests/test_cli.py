@@ -11,7 +11,10 @@ from takagi import cli
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -97,6 +100,31 @@ def test_linear_root_outside_the_interval_is_a_usage_error(capsys):
     code, _, err = run(capsys, "maximize", "--alpha", "root:1,-1:1:2")
     assert code == cli.EXIT_USAGE == 1
     assert err == "error: algebraic: linear polynomial has no root in interval\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximize", "--alpha", "1/0"],
+        ["classify", "--alpha=1/0"],
+        ["eval", "--alpha", "1/2", "--t", "1/0"],
+        ["littlewood", "gaps", "--resolution", "1/0"],
+        ["maximize", "--alpha", "root:1,-1,-1:1/2:1/0"],
+        ["maximize", "--alpha", "1/2", "--seq", "power-squared"],
+        ["maximize"],
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_USAGE, "") and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("content", ["5", '{"1": 2}'])
+def test_sequence_file_must_hold_a_list(tmp_path, capsys, content):
+    path = tmp_path / "coeffs.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "eval", "--seq", "file:%s" % path, "--t", "1/2")
+    assert (code, out) == (cli.EXIT_USAGE, "") and "does not hold a JSON list" in err
 
 
 def test_unread_option_is_a_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -84,6 +85,17 @@ def test_classify_alpha_unresolved_interval():
     close = sc.interval(F(-13, 10), F(-129, 100))  # straddles x_2
     with pytest.raises(sc.PrecisionError):
         lb.classify_alpha(close)
+
+
+@pytest.mark.parametrize("lo, hi, what", [(F(199, 100), F(201, 100), "2 - alpha"), (F(-201, 100), F(-199, 100), "alpha + 2")])
+def test_alpha_straddling_an_end_is_unresolved(lo, hi, what):
+    # the same undecided sign is the same PrecisionError in Geometric and classify_alpha
+    message = "%s unresolved (width 1/50)" % what
+    for build in (ev.Geometric, lb.classify_alpha):
+        with pytest.raises(sc.PrecisionError, match=r"^%s$" % re.escape(message)):
+            build(sc.interval(lo, hi))
+    with pytest.raises(ev.DomainError, match="alpha must"):
+        ev.Geometric(F(7, 2) if lo > 0 else F(-7, 2))
 
 
 

@@ -218,6 +218,22 @@ def test_same_root():
     assert sc.same_root(a, sqrt2())
 
 
+def test_refined_root_stays_exact_against_its_source():
+    # refine puts b on a narrower root inside a's base bracket: the two unify
+    # on it, as does a localizable polynomial's root with the same base as a
+    a = sqrt2()
+    b = sc.refine(a, F(1, 2**20))
+    assert sc.same_root(a, b) and b.root != a.root
+    for x in (a, sc.algebraic([-4, 0, 0, 0, 1], 1, 2)):
+        d = sc.scalar_sub(x, b)
+        assert isinstance(d, sc.AlgebraicScalar) and d.nums == ()
+        assert sc.scalar_eq(x, b) and sc.scalar_eq(b, x)
+        product = sc.scalar_mul(x, b)
+        assert isinstance(product, sc.AlgebraicScalar) and sc.scalar_eq(product, 2)
+    # a nested base that holds another number stays a ball
+    assert isinstance(sc.scalar_sub(golden(), b), sc.IntervalScalar)
+
+
 def test_serialization_forms():
     assert sc.scalar_to_json(sc.rational(F(-3, 7))) == {
         "type": "rational",

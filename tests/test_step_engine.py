@@ -476,3 +476,90 @@ def test_geometric_run_takes_one_product_per_term_and_no_scalar_sign(monkeypatch
         assert len(rho) == len(sgn) == depth + 1
         assert len(products) <= depth + 1
         assert not scalar_signs
+
+
+# ---------------------------------------------------------------------------
+# certificate and classification branches the batteries above do not reach
+
+
+def _increasing(head):
+    """c_0 = head and c_m = m/2^m: the weights 1, 2, 3, ... increase from m = 1."""
+    return ev.Custom(lambda m: F(head if m == 0 else m, 2**m), lambda n: F(n + 2, 2**n), increasing_from=1)
+
+
+def test_alternating_certificate_passes_zero_and_wide_sums():
+    # S = 10, 9, 7, 4, 0, 5, -1, ...: |S_1..S_3| >= the next weight, S_4 = 0,
+    # and the envelope certifies from S_5 = 5 < w_6
+    tr = se.build_rho(_increasing(10), "sharp", 16)
+    assert tr.certificate == se.PeriodCertificate(6, 2, (), ("alternating envelope: increasing weights",))
+    assert tr.zero_indices == (4,) and ev.t_map_fraction(tr.signs) == F(23, 48)
+    report = se.classify_extrema(_increasing(10), "max", 16)
+    assert report.locations == (F(23, 48), F(47, 96), F(49, 96), F(25, 48))
+    # S_n = 100 - n(n+1)/2 stays above the next weight through depth 6
+    tr = se.build_rho(_increasing(100), "sharp", 6)
+    assert tr.certificate is None and tr.signs.prefix == (1, -1, -1, -1, -1, -1, -1)
+
+
+def test_enumeration_gives_up_past_the_cap():
+    # unit weights: S = 1, 0, 1, 0, ... with a fork at each of 13 zeros
+    c = ev.FiniteSupport([F(1, 2**m) for m in range(27)])
+    sharp = se.build_rho(c, "sharp", 30)
+    assert sharp.tail_zero_free and len(sharp.zero_indices) == se.ENUMERATION_CAP + 1
+    assert se.classify_extrema(c, "max", 30).cardinality == se.Cardinality.unknown(30)
+
+
+def test_a_leaf_off_the_constant_tail_is_uncertified():
+    # S_1 = 0 at the end of the support: the leaf that chooses -1 there breaks
+    # the constant tail the tie rule gives, so no certificate and no enumeration
+    c = ev.FiniteSupport([1, F(1, 2)])
+    for choice, certified in ((1, True), (-1, False)):
+        rho, _, sgn, _ = se._run(c, "max", "sharp", 2, {2: choice})
+        assert (se._certify_finite_support(c, "max", "sharp", rho, sgn, 2) is not None) == certified
+    assert se._enumerate_leaves(c, "max", 2) is None
+
+
+@pytest.mark.parametrize(
+    "values, depth, zeros",
+    [
+        (["-1", "-1/2"], 6, (1, 2, 3, 4, 5, 6)),  # the choices are not block periodic
+        (["1", "-1/2", "0", "0"], 6, (1, 2, 3, 4, 5, 6)),  # two blocks do not fit past the start
+        (["1", "-1/2", "0", "0"], 10, tuple(range(1, 11))),  # zeros off the block grid
+    ],
+)
+def test_vanishing_tail_off_a_block_recurrence_is_unknown(values, depth, zeros):
+    report = se.classify_extrema(ev.FiniteSupport([F(v) for v in values]), "min", depth)
+    assert report.evidence.tail_zero_free is False and report.evidence.zero_indices == zeros
+    assert se._structured_continuum(report.evidence) is None
+    assert report.cardinality == se.Cardinality.unknown(depth)
+
+
+def test_structured_continuum_needs_a_vanishing_tail():
+    assert se._structured_continuum(se.build_rho(ev.PowerSquared(), "sharp", 32)) is None
+
+
+def test_negative_witness_narrows_until_the_value_is_negative():
+    # alpha = -sqrt(1 + 2^-30): the minimum at 1/5 is about -2^-32.9, inside
+    # the first enclosure width 2^-24
+    c = geometric(sc.algebraic([-(2**30 + 1), 0, 2**30], -2, -1))
+    loc = se.Location.from_trace(se._build_trace(c, "min", "sharp", 24))
+    lo, hi = se._extremum_value(c, "min", loc, F(1, 2**24))
+    assert loc.exact == F(1, 5) and lo < 0 <= hi
+    assert se.nonneg_check(c, 24) == se.NonnegResult("negative_witness", F(1, 5), 24)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), ALPHA2])
+def test_geometric_partial_sums_slice(alpha):
+    tr = se.build_rho(geometric(alpha), "sharp", 8)
+    sums = tr.partial_sums
+    assert sums[1:8:3] == (sums[1], sums[4], sums[7])
+    assert sums[-2:] == (sums[7], sums[8])
+    total = sc.rational(0)
+    for m, s in enumerate(sums[:]):
+        total = sc.scalar_add(total, sc.scalar_mul(sc.scalar_pow(alpha, m), tr.signs[m]))
+        assert sc.scalar_eq(s, total)
+
+
+def test_tie_rule_is_sharp_or_flat():
+    for build in (se.build_rho, se.build_lambda):
+        with pytest.raises(ValueError, match="variant must be 'sharp' or 'flat'"):
+            build(ev.PowerSquared(), "round", 8)
