@@ -1,9 +1,9 @@
 """Exact univariate polynomial arithmetic over the integers.
 
 Polynomials are dense coefficient tuples in ascending power order, with no
-trailing zero coefficients; the zero polynomial is the empty tuple.  Everything
-here is exact big-integer arithmetic: evaluation at rationals is done with
-cleared denominators (`sign_at_scaled`, `eval_interval_scaled`), and Sturm
+trailing zero coefficients; the zero polynomial is the empty tuple.  Every
+decision here is exact big-integer arithmetic: evaluation at rationals is done
+with cleared denominators (`sign_at_scaled`, `eval_interval_scaled`), and Sturm
 chains use sign-corrected pseudo-remainders with content stripping to control
 coefficient growth.  `squarefree_chain` is the one squarefree computation:
 `isolate_brackets`, `squarefree_part` and `scalars.algebraic` read from it.
@@ -13,11 +13,16 @@ walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
 them (`refine_bracket`) and decides the step property of a root against the
 prefixes of a coefficient tuple (`step_root_at`); `isolate_roots` is its
 Fraction-endpoint form; `descartes_brackets` isolates on the same grid by
-`descartes_count`, the bound on a bracket's roots without a Sturm chain.  The
-sign of any integer polynomial at such a root comes from one kernel,
-`root_sign`, which the step test (for a prefix its running enclosure leaves
-open), the step engine's recursion and `scalars.scalar_sign` all call.
-The `*_dyadic` names are the denominator-2^k cases of the scaled kernels.
+`descartes_count`, the bound on a bracket's roots without a Sturm chain, and
+takes each half's transform from its parent's by Taylor shifts
+(`descartes_children`).  `refine_bracket` proposes, then verifies: a float
+Newton step (`_float_root`, the one float computation) proposes the root, and
+the cell of the target width that holds it is taken only on two exact signs,
+so it is the cell bisection reaches.  The sign of any integer polynomial at
+such a root comes from one kernel, `root_sign`, which the step test (for a
+prefix its running enclosure leaves open), the step engine's recursion and
+`scalars.scalar_sign` all call.  The `*_dyadic` names are the
+denominator-2^k cases of the scaled kernels.
 """
 
 from __future__ import annotations
@@ -319,21 +324,29 @@ def isolate_brackets(
 
 
 def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction, slo: int | None = None) -> Bracket:
-    """Bisect a bracket of p until it is at most `width` wide.
+    """Narrow a bracket of p to the cell at most `width` wide that bisection reaches.
 
     x is a simple root of p, the only root of p in the bracket, and neither
     end is a root; p need not be squarefree.  A midpoint that is the root
     ends the bisection with the exact bracket (M, M, D).  `slo` is the sign
     of p left of x, which every bracket of x shares; it is computed when
-    None.
+    None.  When that cell lies k >= 4 levels down, `_float_root` proposes x
+    first, and the level-k cell that holds the proposal is taken if p has
+    exact signs of opposite sign at its two ends: x is then inside it and on
+    no grid point of a level <= k, so bisection ends in that same cell.
+    Otherwise, or with no proposal, it bisects.
     """
     if width <= 0:
         raise ValueError("refine_bracket: width must be positive")
     A, B, D = bracket
-    wnum, wden = width.numerator, width.denominator
+    need, unit = (B - A) * width.denominator, width.numerator * D
+    k = max(need.bit_length() - unit.bit_length(), 0)
+    k += need > unit << k  # the least k with (B - A) / (D 2^k) <= width
+    if k >= 4 and (cell := _proposed_cell(p, bracket, k)) is not None:
+        return cell
     if slo is None:
         slo = sign_at_scaled(p, A, D)
-    while (B - A) * wden > wnum * D:
+    for _ in range(k):
         m, D = A + B, 2 * D
         sm = sign_at_scaled(p, m, D)
         if sm == 0:
@@ -343,6 +356,61 @@ def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction, slo: int | Non
         else:
             A, B = 2 * A, m
     return A, B, D
+
+
+def _proposed_cell(p: IntPoly, bracket: Bracket, k: int) -> Bracket | None:
+    """The level-k cell of `bracket` that holds `_float_root`'s proposal, if p has exact signs
+    of opposite sign at its two ends; None if not, or if floats overflow or propose nothing."""
+    A, B, D = bracket
+    try:
+        x = _float_root(p, A, B, D, k)
+    except OverflowError:  # the ends or the coefficients are beyond floats
+        return None
+    if x is None or not math.isfinite(x):
+        return None
+    n, d = x.as_integer_ratio()
+    w, Dk = B - A, D << k
+    lo = (A << k) + ((n * D - d * A) << k) // (d * w) * w
+    if A << k <= lo < B << k and sign_at_scaled(p, lo, Dk) * sign_at_scaled(p, lo + w, Dk) < 0:
+        return lo, lo + w, Dk
+    return None
+
+
+def _float_root(p: IntPoly, A: int, B: int, D: int, k: int) -> float | None:
+    """A float near the root of p in (A/D, B/D), by Newton safeguarded by a float bracket.
+
+    None where a level-k cell of the bracket is narrower than 2^-40 of its ends'
+    magnitude, which floats cannot resolve; OverflowError where its ends or p's
+    coefficients are beyond floats.  Only a proposal: `refine_bracket` checks it exactly.
+    """
+    lo, hi, cell = A / D, B / D, (B - A) / (D << k)
+    if cell * 2**40 < max(abs(lo), abs(hi)):
+        return None
+    cs = [float(c) for c in reversed(p)]
+
+    def horner(x: float) -> tuple[float, float]:
+        f = df = 0.0
+        for c in cs:
+            f, df = f * x + c, df * x + f
+        return f, df
+
+    a, b, x = lo, hi, (lo + hi) / 2
+    left = horner(lo)[0] > 0
+    for _ in range(64):
+        f, df = horner(x)
+        if f == 0:
+            return x
+        if (f > 0) == left:
+            a = x
+        else:
+            b = x
+        step = x - f / df if df else x
+        if not a < step < b:
+            step = (a + b) / 2
+        if abs(step - x) * 16 < cell:
+            return step
+        x = step
+    return None
 
 
 def has_root(g: IntPoly, bracket: Bracket) -> bool:
@@ -446,26 +514,48 @@ def descartes_count(transform: Sequence[int]) -> int:
     return sum(map(operator.ne, signs, signs[1:]))
 
 
-def descartes_brackets(
-    p: IntPoly, bracket: Bracket, count: int, width: Fraction, matrices: dict
-) -> tuple[IntPoly, list[Bracket], IntPoly | None]:
-    """`isolate_brackets(p, [bracket])` by bisection on `descartes_count`, `count` on `bracket`.
+def _shift_scale(desc: Sequence[int]) -> list[int]:
+    """T(1 + 2z) for T given in descending order, ascending: a Taylor shift by 1, then
+    coefficient i shifted left by i bits.  Each pass of synthetic division by z - 1 leaves
+    the next coefficient of T(1 + z) as the last prefix sum."""
+    out = []
+    for i in range(len(desc)):
+        desc = list(itertools.accumulate(desc))
+        out.append(desc.pop() << i)
+    return out
 
-    Cells split at midpoints, as in `isolate_brackets`; `matrices`, one per degree,
-    caches their `descartes_matrix`.  Sturm's answer where a cell at most `width` wide still
-    counts 2 or more (a repeated root, or roots that close) or a midpoint is a root.
+
+def descartes_children(transform: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The transforms of a bracket's left and right halves, from the bracket's transform T.
+
+    T(y) has the bracket's midpoint at y = 1, and so has each half's.  The right half's is
+    T(1 + 2z), the left half's (2 + z)^n T(z / (2 + z)): the same construction on T
+    reversed, reversed back.  Both are exactly `descartes_matrix` of the half times p, with
+    no matrix, and the right one's constant term T(1) is 0 exactly when the midpoint is a root.
     """
-    out, cells = [], [(bracket, count)]
+    return _shift_scale(transform)[::-1], _shift_scale(transform[::-1])
+
+
+def descartes_brackets(
+    p: IntPoly, bracket: Bracket, transform: Sequence[int], width: Fraction
+) -> tuple[IntPoly, list[Bracket], IntPoly | None]:
+    """`isolate_brackets(p, [bracket])` by bisection on `descartes_count`; `transform` is p's on `bracket`.
+
+    Cells split at midpoints, as in `isolate_brackets`, and their transforms come from
+    `descartes_children`.  Sturm's answer where a cell at most `width` wide still counts 2
+    or more (a repeated root, or roots that close) or a midpoint is a root.
+    """
+    out, cells = [], [(bracket, transform)]
     while cells:
-        (A, B, D), count = cells.pop()
+        (A, B, D), t = cells.pop()
+        count = descartes_count(t)
         if count == 1:
             out.append((A, B, D))
         elif count:
-            if (B - A) * width.denominator <= width.numerator * D or sign_at_scaled(p, A + B, 2 * D) == 0:
+            left, right = descartes_children(t)
+            if (B - A) * width.denominator <= width.numerator * D or right[0] == 0:
                 return isolate_brackets(p, [bracket])
-            for cell in ((A + B, 2 * B, 2 * D), (2 * A, A + B, 2 * D)):  # the left one is popped first
-                matrix = matrices.get(cell) or matrices.setdefault(cell, descartes_matrix(len(p) - 1, cell))
-                cells.append((cell, descartes_count([sum(map(operator.mul, row, p)) for row in matrix])))
+            cells += [((A + B, 2 * B, 2 * D), right), ((2 * A, A + B, 2 * D), left)]  # left popped first
     return p, out, None
 
 

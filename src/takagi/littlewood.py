@@ -12,10 +12,13 @@ integer bracket walker of `intpoly` (`refine_bracket`, `step_root_at`), which
 P(-x) is again normalized, so a root x of P there is also booked as the
 negative root -x of P(-x), with both step flags from one prefix walk.  Masks go
 in Gray-code order, i ^ (i >> 1), so the Descartes transform over (1/2, 2) moves
-by twice one column per polynomial; Descartes bisection hands over to Sturm only
-where a cell of bin width (level 13) still counts 2 or more.  The output is the
-same either way: the only rational roots, +-1, are no grid points, so every
-isolating grid cell refines to the same cell of bin width.
+by twice one column per polynomial.  Descartes bisection starts from that
+transform and takes each half's from its parent's by Taylor shifts, and it hands
+over to Sturm only where a cell of bin width (level 13) still counts 2 or more.
+The output is the same either way: the only rational roots, +-1, are no grid
+points, so every isolating grid cell refines to the same cell of bin width.  That
+refinement is `refine_bracket`'s: a float Newton proposal of the bin-width cell,
+taken on two exact signs at its ends, else bisection; both reach the same cell.
 """
 
 from __future__ import annotations
@@ -224,20 +227,19 @@ def _scan_chunk(args) -> ScanSummary:
     degree, mask_lo, mask_hi, bins, collect = args
     out = _empty_summary(degree, bins)
     odd = sum(1 << j for j in range(0, degree, 2))  # mask ^ odd is the mask of P(-x)
-    cells = {_POSITIVE: intpoly.descartes_matrix(degree, _POSITIVE)}  # Descartes matrices by cell
-    columns = list(zip(*cells[_POSITIVE]))
+    matrix = intpoly.descartes_matrix(degree, _POSITIVE)
+    columns = list(zip(*matrix))
     coeffs = list(LittlewoodPoly.from_mask(degree, mask_lo ^ (mask_lo >> 1)).coeffs)
-    transform = [sum(a * c for a, c in zip(row, coeffs)) for row in cells[_POSITIVE]]
+    transform = [sum(a * c for a, c in zip(row, coeffs)) for row in matrix]
     for i in range(mask_lo, mask_hi):
         if i > mask_lo:  # mask i ^ (i >> 1) flips coefficient j of the one before
             j = (i & -i).bit_length()
             coeffs[j] = c = -coeffs[j]
             transform = [t + 2 * c * v for t, v in zip(transform, columns[j])]
-        bound = intpoly.descartes_count(transform)
-        if bound == 0:
+        if intpoly.descartes_count(transform) == 0:
             continue
         mask, p = i ^ (i >> 1), tuple(coeffs)
-        sq, brackets, repeated = intpoly.descartes_brackets(p, _POSITIVE, bound, _BIN_WIDTH, cells)
+        sq, brackets, repeated = intpoly.descartes_brackets(p, _POSITIVE, transform, _BIN_WIDTH)
         while repeated is not None:  # a root of multiplicity m is seen at m levels
             chain = intpoly.sturm_chain(repeated)
             out.pos_roots_with_multiplicity += intpoly.count_roots(chain, POS_LO, POS_HI)

@@ -665,7 +665,8 @@ def nonneg_check(c: CoefficientSequence, depth: int = DEFAULT_DEPTH) -> NonnegRe
 
     Geometric sequences are decided for every n at once (sign analysis of the
     closed-form partial sums); otherwise the check is certified up to `depth`,
-    with finite support closing the induction.
+    with finite support closing the induction.  A negative case whose witness
+    `depth` is too shallow to certify is "unknown".
     """
     alpha = c.geometric_ratio()
     if alpha is not None:
@@ -676,25 +677,27 @@ def nonneg_check(c: CoefficientSequence, depth: int = DEFAULT_DEPTH) -> NonnegRe
             # partial sums (1 - alpha^(n+1))/(1 - alpha) with |alpha| <= 1, or
             # termwise positive for alpha >= 1: nonnegative for every n
             return NonnegResult("nonneg_certified")
-        return NonnegResult("negative_witness", _negative_witness(c, depth), depth)
+        return _negative_result(c, depth)
     sums = _partial_sums(c)
     end = c.support_end()
     for n in range(depth + 1):
         if n:
             sums.push(1)
         if sums.sign(n) < 0:
-            return NonnegResult("negative_witness", _negative_witness(c, depth), depth)
+            return _negative_result(c, depth)
         if end is not None and n >= end:
             return NonnegResult("nonneg_certified")
     return NonnegResult("unknown", None, depth)
 
 
-def _negative_witness(c, depth) -> Fraction:
-    """A point t with f(t) < 0: the smallest minimizer, or its dyadic approximant.
+def _negative_result(c, depth) -> NonnegResult:
+    """A witness t with f(t) < 0: the smallest minimizer, or its dyadic approximant.
 
     The value is certified through `_extremum_value`, so an exact location of
     a rational or algebraic Geometric sequence is evaluated in closed form by
-    `eval_periodic` rather than summed term by term.
+    `eval_periodic` rather than summed term by term.  "unknown" when no width
+    certifies it: at a shallow depth the approximant's location error can
+    exceed |f| there, and no narrower width helps.
     """
     trace = _build_trace(c, "min", "sharp", depth)
     loc = Location.from_trace(trace)
@@ -703,6 +706,6 @@ def _negative_witness(c, depth) -> Fraction:
     for _ in range(6):
         lo, hi = _extremum_value(c, "min", loc, width)
         if hi < 0:
-            return t
+            return NonnegResult("negative_witness", t, depth)
         width /= 2**8
-    raise AssertionError("negative witness could not be certified negative")
+    return NonnegResult("unknown", None, depth)

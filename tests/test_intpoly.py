@@ -1,5 +1,6 @@
 """Integer polynomial toolkit: arithmetic, Sturm chains, root isolation."""
 
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -310,3 +311,111 @@ def test_root_sign_tests_for_zero_once_at_the_second_straddle(monkeypatch):
     gcds.clear(), refines.clear()
     assert ip.root_sign((-7071, 5000), sq, (1, 2, 1))[0] == 1
     assert len(gcds) == 1 and len(refines) > 2
+
+
+def _transform(p, bracket):
+    return [sum(map(operator.mul, row, p)) for row in ip.descartes_matrix(ip.degree(p), bracket)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=10),
+    st.integers(-12, 12),
+    st.integers(1, 9),
+    st.sampled_from((1, 2, 3, 5, 12)),
+    st.lists(st.booleans(), max_size=14),
+    st.booleans(),
+)
+def test_descartes_children_are_the_halves_transforms(coeffs, a, w, d, path, root_at_midpoint):
+    # down a path of grid cells to level 14, each child transform from the
+    # Taylor shifts is the half's own descartes_matrix transform, so it has
+    # its sign pattern, and the right child's constant term is 0 exactly at
+    # a midpoint root; with the flag set, the last cell's midpoint is a root
+    A, B, D = a, a + w, d
+    for right in path:
+        A, B, D = (A + B, 2 * B, 2 * D) if right else (2 * A, A + B, 2 * D)
+    p = ip.normalize(coeffs)
+    if root_at_midpoint:
+        p = ip.mul(p, (-(A + B), 2 * D))
+    assume(ip.degree(p) >= 1)
+    A, B, D = a, a + w, d
+    t = _transform(p, (A, B, D))
+    for right in path + [None]:
+        left_t, right_t = ip.descartes_children(t)
+        assert left_t == _transform(p, (2 * A, A + B, 2 * D))
+        assert right_t == _transform(p, (A + B, 2 * B, 2 * D))
+        assert (right_t[0] == 0) == (ip.sign_at_scaled(p, A + B, 2 * D) == 0)
+        A, B, D = (A + B, 2 * B, 2 * D) if right else (2 * A, A + B, 2 * D)
+        t = right_t if right else left_t
+    assert right_t[0] == 0 or not root_at_midpoint
+
+
+def _bisect_reference(p, bracket, width):
+    """`refine_bracket` as plain bisection in Fractions, for the same (A, B, D) representation."""
+    A, B, D = bracket
+    slo = ip.sign_at(p, F(A, D))
+    while F(B - A, D) > width:
+        m, D = A + B, 2 * D
+        sm = ip.sign_at(p, F(m, D))
+        if sm == 0:
+            return m, m, D
+        A, B = (m, 2 * B) if sm == slo else (2 * A, m)
+    return A, B, D
+
+
+def _refine_cases():
+    """(p, bracket, width): brackets of both signs over non-dyadic denominators, roots on grid
+    points and coefficients and ends too large for floats."""
+    rng = random.Random(24)
+    cases = []
+    while len(cases) < 120:
+        p = ip.normalize([rng.randint(-9, 9) for _ in range(rng.randint(2, 9))])
+        lo = F(rng.randint(-40, 40), rng.choice((1, 3, 5, 7, 12)))
+        hi = lo + F(rng.randint(1, 20), rng.choice((1, 3, 10)))
+        if ip.degree(p) < 1 or ip.sign_at(p, lo) == 0 or ip.sign_at(p, hi) == 0:
+            continue
+        sq, brackets, _ = ip.isolate_brackets(p, [ip.to_bracket(lo, hi)])
+        for b in brackets:
+            cases.append((sq, b, rng.choice((F(1, 2**rng.randint(4, 40)), F(1, 3**rng.randint(3, 20))))))
+    # roots on grid points of (1/3, 5/3): 1 at level 1, 7/6 at level 3, (2^16 + 60) / (3 2^16) at 16
+    for num, den in ((1, 1), (7, 6), (2**16 + 60, 3 * 2**16)):
+        cases += [(ip.mul((-num, den), (1, 0, 1)), (1, 5, 3), F(1, 2**30)), ((-num, den), (1, 5, 3), F(1, 2**30))]
+    # 10^400 (3x^2 - 7) + x: floats overflow on the coefficients; 2x - (2 10^400 + 1) on the ends
+    big = 10**400
+    cases += [((-7 * big, 1, 3 * big), (1, 2, 1), F(1, 2**50)), ((-(2 * big + 1), 2), (big, big + 1, 1), F(1, 2**30))]
+    return cases
+
+
+def test_refine_bracket_matches_plain_bisection(monkeypatch):
+    # the float proposal only speeds refinement up: whatever it proposes, a
+    # right point, a wrong one, NaN, infinity, a point outside the bracket or
+    # nothing, the bracket is the one plain bisection reaches
+    cases = _refine_cases()
+    want = [_bisect_reference(p, b, w) for p, b, w in cases]
+    assert [ip.refine_bracket(p, b, w) for p, b, w in cases] == want
+    assert sum(A == B for A, B, _ in want) >= 6
+    assert sum(b[0] < 0 for _, b, _ in cases) > 10 and sum(b[2] & (b[2] - 1) != 0 for _, b, _ in cases) > 10
+    proposals = {
+        "wrong": lambda p, A, B, D, k: (3 * A + B) / (4 * D),
+        "nan": lambda p, A, B, D, k: math.nan,
+        "inf": lambda p, A, B, D, k: -math.inf,
+        "outside": lambda p, A, B, D, k: B / D + 1,
+        "left end": lambda p, A, B, D, k: A / D,
+        "none": lambda p, A, B, D, k: None,
+    }
+    for name, proposal in proposals.items():
+        monkeypatch.setattr(ip, "_float_root", proposal)
+        assert [ip.refine_bracket(p, b, w) for p, b, w in cases] == want, name
+
+
+def test_refine_bracket_takes_a_verified_proposal_in_two_signs(monkeypatch):
+    # sqrt2 in (1, 2) to 2^-30: two exact signs at the proposed cell's ends
+    # where bisection takes 30; a target 3 levels down is bisected
+    signs = []
+    sign = ip.sign_at_scaled
+    monkeypatch.setattr(ip, "sign_at_scaled", lambda *a: signs.append(a) or sign(*a))
+    got = ip.refine_bracket((-2, 0, 1), (1, 2, 1), F(1, 2**30))
+    assert len(signs) == 2
+    assert got == _bisect_reference((-2, 0, 1), (1, 2, 1), F(1, 2**30))
+    signs.clear()
+    assert ip.refine_bracket((-2, 0, 1), (1, 2, 1), F(1, 8), -1) == (11, 12, 8) and len(signs) == 3

@@ -154,11 +154,11 @@ def _brackets_across_zero(p, root):
     return out
 
 
-def _descartes_brackets(coeffs, cells=None):
+def _descartes_brackets(coeffs):
     """The scan's (squarefree part, brackets, repeated part) of the roots in (1/2, 2)."""
     matrix = ip.descartes_matrix(ip.degree(coeffs), lw._POSITIVE)
-    count = ip.descartes_count([sum(map(operator.mul, row, coeffs)) for row in matrix])
-    return ip.descartes_brackets(coeffs, lw._POSITIVE, count, lw._BIN_WIDTH, {} if cells is None else cells)
+    transform = [sum(map(operator.mul, row, coeffs)) for row in matrix]
+    return ip.descartes_brackets(coeffs, lw._POSITIVE, transform, lw._BIN_WIDTH)
 
 
 def test_fast_step_matches_public_api():
@@ -212,13 +212,12 @@ def test_descartes_brackets_refine_to_the_sturm_brackets(monkeypatch):
     sturm, handed_over = ip.isolate_brackets, []
     monkeypatch.setattr(ip, "isolate_brackets", lambda p, intervals: handed_over.append(p) or sturm(p, intervals))
     for degree in range(1, 11):
-        cells = {}
         for mask in range(1 << degree):
             p = lw.LittlewoodPoly.from_mask(degree, mask).coeffs
             sq, brackets, repeated = sturm(p, [lw._POSITIVE])
             want = [ip.refine_bracket(sq, b, lw._BIN_WIDTH) for b in brackets]
             before = len(handed_over)
-            dsq, got, drepeated = _descartes_brackets(p, cells)
+            dsq, got, drepeated = _descartes_brackets(p)
             assert [ip.refine_bracket(dsq, b, lw._BIN_WIDTH) for b in got] == want, p
             if len(handed_over) > before:
                 assert ip.count_roots(ip.sturm_chain(repeated), lw.POS_LO, lw.POS_HI) > 0, p
@@ -426,6 +425,15 @@ def test_scan_12_digests():
     assert digest == "0299fbb97da8bf1fbb775e1a5cd209b0d1a9a7bb69acd0e46af41abbfb351722"
     digest = hashlib.sha256(json.dumps(s.roots_seen).encode()).hexdigest()
     assert digest == "8e8e0f750ff68b0e3cc7ad050ac703c5d17af157454f1cfdbaa58d5a03e245cb"
+    # scan(13) and scan(10, bins=37) as written by the matrix-product Descartes
+    # kernel and plain bisection, before the Taylor shifts and the float proposals
+    s = lw.scan(13, collect_roots=True)
+    digest = hashlib.sha256(json.dumps(s.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "dbd04099a3b18104c4ad989fbe835630f2d3e71969b473e445df03f4ae97ffad"
+    digest = hashlib.sha256(json.dumps(s.roots_seen).encode()).hexdigest()
+    assert digest == "7e138d0447bc51b0118b65fe651feef9f9e63c75aefa77dd133a4c0fc90346ac"
+    digest = hashlib.sha256(json.dumps(lw.scan(10, bins=37).to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "308162e0cb1a6c7fc8a5f95474c637af8c5e2cd24e32aa236ff5492acd50025a"
 
 
 def test_mirror_flag_is_the_step_test_of_the_mirrored_root():

@@ -304,6 +304,16 @@ def test_nonneg_examples():
     assert se.nonneg_check(c, 20).status == "unknown"
 
 
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_nonneg_uncertified_witness_is_unknown(k):
+    # just below -1 the depth-8 min trace is not yet periodic: its dyadic
+    # location is too coarse to certify f < 0, which is an exhausted budget,
+    # not an error; depth 16 finds the exact witness 1/5
+    alpha = -1 - F(1, 2**k)
+    assert se.nonneg_check(geometric(alpha), 8) == se.NonnegResult("unknown", None, 8)
+    assert se.nonneg_check(geometric(alpha), 16) == se.NonnegResult("negative_witness", F(1, 5), 16)
+
+
 def test_nonneg_grid_matches_threshold():
     for i in range(-19, 20, 2):
         alpha = F(i, 10)
