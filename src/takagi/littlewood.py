@@ -236,8 +236,6 @@ def _scan_chunk(args) -> ScanSummary:
             j = (i & -i).bit_length()
             coeffs[j] = c = -coeffs[j]
             transform = [t + 2 * c * v for t, v in zip(transform, columns[j])]
-        if intpoly.descartes_count(transform) == 0:
-            continue
         mask, p = i ^ (i >> 1), tuple(coeffs)
         sq, brackets, repeated = intpoly.descartes_brackets(p, _POSITIVE, transform, _BIN_WIDTH)
         while repeated is not None:  # a root of multiplicity m is seen at m levels
