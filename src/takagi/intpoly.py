@@ -362,28 +362,27 @@ def _proposed_cell(p: IntPoly, bracket: Bracket, k: int) -> Bracket | None:
     """The level-k cell of `bracket` that holds `_float_root`'s proposal, if p has exact signs
     of opposite sign at its two ends; None if not, or if floats overflow or propose nothing."""
     A, B, D = bracket
+    w, Dk = B - A, D << k
     try:
-        x = _float_root(p, A, B, D, k)
+        x = _float_root(p, A / D, B / D, w / Dk)
     except OverflowError:  # the ends or the coefficients are beyond floats
         return None
     if x is None or not math.isfinite(x):
         return None
     n, d = x.as_integer_ratio()
-    w, Dk = B - A, D << k
-    lo = (A << k) + ((n * D - d * A) << k) // (d * w) * w
-    if A << k <= lo < B << k and sign_at_scaled(p, lo, Dk) * sign_at_scaled(p, lo + w, Dk) < 0:
-        return lo, lo + w, Dk
+    left = (A << k) + ((n * D - d * A) << k) // (d * w) * w
+    if A << k <= left < B << k and sign_at_scaled(p, left, Dk) * sign_at_scaled(p, left + w, Dk) < 0:
+        return left, left + w, Dk
     return None
 
 
-def _float_root(p: IntPoly, A: int, B: int, D: int, k: int) -> float | None:
-    """A float near the root of p in (A/D, B/D), by Newton safeguarded by a float bracket.
+def _float_root(p: IntPoly, lo: float, hi: float, cell: float) -> float | None:
+    """A float well within `cell` of the root of p in (lo, hi), by Newton safeguarded by a float bracket.
 
-    None where a level-k cell of the bracket is narrower than 2^-40 of its ends'
-    magnitude, which floats cannot resolve; OverflowError where its ends or p's
-    coefficients are beyond floats.  Only a proposal: `refine_bracket` checks it exactly.
+    None where `cell` is narrower than 2^-40 of the ends' magnitude, which floats
+    cannot resolve; OverflowError where p's coefficients are beyond floats.  Only a
+    proposal: `refine_bracket` checks it exactly.
     """
-    lo, hi, cell = A / D, B / D, (B - A) / (D << k)
     if cell * 2**40 < max(abs(lo), abs(hi)):
         return None
     cs = [float(c) for c in reversed(p)]

@@ -396,12 +396,12 @@ def test_refine_bracket_matches_plain_bisection(monkeypatch):
     assert sum(A == B for A, B, _ in want) >= 6
     assert sum(b[0] < 0 for _, b, _ in cases) > 10 and sum(b[2] & (b[2] - 1) != 0 for _, b, _ in cases) > 10
     proposals = {
-        "wrong": lambda p, A, B, D, k: (3 * A + B) / (4 * D),
-        "nan": lambda p, A, B, D, k: math.nan,
-        "inf": lambda p, A, B, D, k: -math.inf,
-        "outside": lambda p, A, B, D, k: B / D + 1,
-        "left end": lambda p, A, B, D, k: A / D,
-        "none": lambda p, A, B, D, k: None,
+        "wrong": lambda p, lo, hi, cell: (3 * lo + hi) / 4,
+        "nan": lambda p, lo, hi, cell: math.nan,
+        "inf": lambda p, lo, hi, cell: -math.inf,
+        "outside": lambda p, lo, hi, cell: hi + 1,
+        "left end": lambda p, lo, hi, cell: lo,
+        "none": lambda p, lo, hi, cell: None,
     }
     for name, proposal in proposals.items():
         monkeypatch.setattr(ip, "_float_root", proposal)
