@@ -6,23 +6,25 @@ decision here is exact big-integer arithmetic: evaluation at rationals is done
 with cleared denominators (`sign_at_scaled`, `eval_interval_scaled`), and Sturm
 chains use sign-corrected pseudo-remainders with content stripping to control
 coefficient growth.  `squarefree_chain` is the one squarefree computation:
-`isolate_brackets`, `squarefree_part` and `scalars.algebraic` read from it.
+`isolate_brackets`, `squarefree_part` and `scalars.algebraic` read from it;
+`squarefree_mod` only certifies that p is squarefree, by Euclid modulo a prime.
 
 Real roots live on integer brackets (A, B, D), the interval (A/D, B/D).  One
 walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
 them (`refine_bracket`) and decides the step property of a root against the
 prefixes of a coefficient tuple (`step_root_at`); `isolate_roots` is its
-Fraction-endpoint form; `descartes_brackets` isolates on the same grid by
-`descartes_count`, the bound on a bracket's roots without a Sturm chain, and
+Fraction-endpoint form; `descartes_cells` isolates on the same grid by
+`descartes_count`, the bound on a bracket's roots without a Sturm chain,
 takes each half's transform from its parent's by Taylor shifts
-(`descartes_children`).  `refine_bracket` proposes, then verifies: a float
-Newton step (`_float_root`, the one float computation) proposes the root, and
-the cell of the target width that holds it is taken only on two exact signs,
-so it is the cell bisection reaches.  The sign of any integer polynomial at
-such a root comes from one kernel, `root_sign`, which the step test (for a
-prefix its running enclosure leaves open), the step engine's recursion and
-`scalars.scalar_sign` all call.  The `*_dyadic` names are the
-denominator-2^k cases of the scaled kernels.
+(`descartes_children`), and returns None where it cannot certify.
+`refine_bracket` proposes, then verifies: a float Newton step (`_float_root`,
+the one float computation, which the Littlewood scan's bin cells use too)
+proposes the root, and the cell of the target width that holds it is taken
+only on two exact signs, so it is the cell bisection reaches.  The sign of
+any integer polynomial at such a root comes from one kernel, `root_sign`,
+which the step test (for a prefix its running enclosure leaves open), the
+step engine's recursion and `scalars.scalar_sign` all call.  The `*_dyadic`
+names are the denominator-2^k cases of the scaled kernels.
 """
 
 from __future__ import annotations
@@ -253,6 +255,31 @@ def squarefree_chain(p: IntPoly) -> tuple[IntPoly, list[IntPoly], IntPoly | None
 def squarefree_part(p: IntPoly) -> IntPoly:
     """p with repeated factors collapsed (same distinct roots)."""
     return squarefree_chain(p)[0]
+
+
+def squarefree_mod(p: IntPoly, prime: int = 32749) -> bool:
+    """Whether gcd(p, p') is 1 modulo `prime`, which certifies p squarefree when `prime` does not
+    divide its leading coefficient.
+
+    A factor of positive degree common to p and p' over Q divides both in Z[x] (Gauss), with a
+    leading coefficient that divides p's; modulo `prime` it keeps its degree and still divides
+    both.  False may be an accident of the prime.  Euclid's algorithm over GF(prime); the
+    default prime is below 2^15, so every product fits one digit of a Python int.
+    """
+    a, b = [c % prime for c in p], [c % prime for c in derivative(p)]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inverse = pow(b[-1], -1, prime)
+        b, n = [c * inverse % prime for c in b], len(b) - 1  # monic
+        while len(a) > n:  # a mod b
+            if f := a.pop():
+                off = len(a) - n
+                for i in range(n):
+                    a[off + i] = (a[off + i] - f * b[i]) % prime
+        a, b = b, a
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +562,14 @@ def descartes_children(transform: Sequence[int]) -> tuple[list[int], list[int]]:
     return _shift_scale(transform)[::-1], _shift_scale(transform[::-1])
 
 
-def descartes_brackets(
-    p: IntPoly, bracket: Bracket, transform: Sequence[int], width: Fraction
-) -> tuple[IntPoly, list[Bracket], IntPoly | None]:
-    """`isolate_brackets(p, [bracket])` by bisection on `descartes_count`; `transform` is p's on `bracket`.
+def descartes_cells(bracket: Bracket, transform: Sequence[int], width: Fraction) -> list[Bracket] | None:
+    """Isolating cells of the open `bracket` by bisection on `descartes_count`, left to right;
+    `transform` is p's on `bracket`.
 
-    Cells split at midpoints, as in `isolate_brackets`, and their transforms come from
-    `descartes_children`.  Sturm's answer where a cell at most `width` wide still counts 2
-    or more (a repeated root, or roots that close) or a midpoint is a root.
+    Each cell holds exactly one root of p, a simple one, and the cells hold every root of p in
+    the bracket.  Cells split at midpoints, as in `isolate_brackets`, and their transforms come
+    from `descartes_children`.  None where a cell at most `width` wide still counts 2 or more
+    (a repeated root, or roots that close) or a midpoint is a root.
     """
     out, cells = [], [(bracket, transform)]
     while cells:
@@ -553,9 +580,9 @@ def descartes_brackets(
         elif count:
             left, right = descartes_children(t)
             if (B - A) * width.denominator <= width.numerator * D or right[0] == 0:
-                return isolate_brackets(p, [bracket])
+                return None
             cells += [((A + B, 2 * B, 2 * D), right), ((2 * A, A + B, 2 * D), left)]  # left popped first
-    return p, out, None
+    return out
 
 
 def isolate_roots(

@@ -8,24 +8,31 @@ maximizers.  The scanner enumerates all sign patterns with rho_0 = +1 up to a
 degree bound and aggregates deterministic counts and histograms (the same
 totals independent of worker count).  Refinement and the step test are the
 integer bracket walker of `intpoly` (`refine_bracket`, `step_root_at`), which
-`real_roots` and `is_step_root` use too.  The scan searches (1/2, 2) only:
-P(-x) is again normalized, so a root x of P there is also booked as the
-negative root -x of P(-x), with both step flags from one prefix walk.  Masks go
-in Gray-code order, i ^ (i >> 1), so the Descartes transform over (1/2, 2) moves
-by twice one column per polynomial.  Descartes bisection starts from that
-transform and takes each half's from its parent's by Taylor shifts, and it hands
-over to Sturm only where a cell of bin width (level 13) still counts 2 or more.
-The output is the same either way: the only rational roots, +-1, are no grid
-points, so every isolating grid cell refines to the same cell of bin width.  That
-refinement is `refine_bracket`'s: a float Newton proposal of the bin-width cell,
-taken on two exact signs at its ends, else bisection; both reach the same cell.
+`real_roots` and `is_step_root` use too.  The scan books every root on the grid
+of the bisection of (1/2, 2), in its cell of bin width (level 13) unless Sturm
+isolation needs a deeper one, and uses two symmetries to search less.  P(-x) is
+again normalized, so a root x of P in (1/2, 2) is also booked as the negative
+root -x of P(-x), with both step flags from one prefix walk.  The reversal
+rev(P) = x^n P(1/x), normalized, takes P's roots in (1/2, 1) one to one onto
+its own in (1, 2), so the scan isolates each P in (1/2, 1) only, by Descartes
+bisection, and books each root y there twice: y for P, 1/y for rev(P).  Masks
+go in Gray-code order, i ^ (i >> 1), so the Descartes transform over (1/2, 1)
+moves by twice one column per polynomial, and each half's transform comes from
+its parent's by Taylor shifts.  A float Newton step proposes y; the bin cells
+of y and 1/y are taken on two exact signs of P and of rev(P) at their ends, and
+together with Descartes' exact count they certify every cell.  The root 1, the
+seam of the two halves, is the only rational root there: P(1) = 0 decides it,
+and its step flags are P's partial sums.  Where anything is not certified
+(roots closer than a cell, a repeated root, a root in the cell of 1), P and
+rev(P) fall back to Sturm isolation of (1/2, 2), which gives the same cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from . import intpoly
 from .evaluate import BudgetError
@@ -37,6 +44,10 @@ ROOT_WIDTH = Fraction(1, 2**107)  # coarser than the 10^-36 of 30 printed digits
 _BIN_WIDTH = Fraction(1, 2**12)  # isolation width for binning inside the scan
 _ANNULUS = ((-4, -1, 2), (1, 4, 2))  # (-2, -1/2) and (1/2, 2) as brackets
 _POSITIVE = _ANNULUS[1]
+_LOW = (1, 2, 2)  # (1/2, 1), where the scan isolates
+_CELL = 1 << 14  # the bin-width cells of (1/2, 2), level 13 of its bisection, are (A, A + 3, _CELL)
+_HALF = _CELL // 2  # A of the lowest, at 1/2
+_ONE = (_CELL - 2, _CELL + 1, _CELL)  # the one that holds 1
 MAX_SCAN_DEGREE = 24
 
 
@@ -223,11 +234,111 @@ def _bins(A: int, B: int, D: int, bins: int) -> tuple[int, int]:
     return min(bins * (A + B - D) // (3 * D), bins - 1), min(bins * (4 * D - A - B) // (3 * D), bins - 1)
 
 
+def _reversed(p: intpoly.IntPoly) -> intpoly.IntPoly:
+    """x^n P(1/x), normalized to start with +1: its roots are the reciprocals of P's."""
+    return p[::-1] if p[-1] > 0 else intpoly.neg(p[::-1])
+
+
+def _deflated(p: intpoly.IntPoly) -> tuple[intpoly.IntPoly, int]:
+    """(P / (x - 1)^m, m), m the multiplicity of the root 1: synthetic division while P(1) = 0."""
+    m = 0
+    while sum(p) == 0:
+        p, m = tuple(accumulate(p[::-1]))[-2::-1], m + 1
+    return p, m
+
+
+def _bin_cell(q: intpoly.IntPoly, x: float, lo: int, hi: int) -> intpoly.Bracket | None:
+    """The bin cell (A, A + 3, 2^14) of (1/2, 2) that holds the float x, if lo <= A <= hi and q
+    has exact signs of opposite sign at its two ends; None if not, or if x is not finite."""
+    if not math.isfinite(x):
+        return None
+    n, d = x.as_integer_ratio()
+    A = _HALF + (n * _CELL - _HALF * d) // (3 * d) * 3
+    if lo <= A <= hi and intpoly.sign_at_scaled(q, A, _CELL) * intpoly.sign_at_scaled(q, A + 3, _CELL) < 0:
+        return A, A + 3, _CELL
+    return None
+
+
+def _reversal_cells(p: intpoly.IntPoly, rev: intpoly.IntPoly, transform) -> tuple[list, list] | None:
+    """The bin cells of P's roots in (1/2, 1) and of rev(P)'s in (1, 2), or None unless certified.
+
+    Descartes bisection of (1/2, 1) finds P's m roots there, each simple.  A float Newton
+    proposal y of each, and its reciprocal, name two bin cells, taken where P and rev(P) change
+    sign across them.  The m cells below 1 are then pairwise distinct cells of (1/2, 1), each
+    with a root of P in it, so each holds exactly one; the same for rev(P) above 1, whose roots
+    there are the m reciprocals.  Those roots being simple, P and rev(P) serve as their own
+    squarefree parts there.  Floats only propose: a proposal in a wrong cell fails a sign or
+    the distinctness, never the result.
+    """
+    cells = intpoly.descartes_cells(_LOW, transform, _BIN_WIDTH)
+    if cells is None:
+        return None
+    below, above = [], []
+    for a, b, d in cells:
+        y = intpoly._float_root(p, a / d, b / d, 3 / _CELL)
+        if y is None or (low := _bin_cell(p, y, _HALF, _ONE[0] - 3)) is None:
+            return None
+        if (high := _bin_cell(rev, 1 / y, _ONE[1], 2 * _CELL - 3)) is None:
+            return None
+        below.append(low)
+        above.append(high)
+    if len(set(below)) < len(below) or len(set(above)) < len(above):
+        return None
+    return below, above
+
+
+def _fallback(p: intpoly.IntPoly, rev: intpoly.IntPoly):
+    """P's roots below 1 and at 1, and rev(P)'s above 1, by Sturm isolation of (1/2, 2) for each.
+
+    Cells as the scan of all of (1/2, 2) gives them, deeper ones too: (q, cell, flags) per
+    root.  A cell across 1 is placed by the exact sign at 1.  Also the multiplicities past
+    the first of those roots other than 1.
+    """
+    roots, excess = [], 0
+    for q, lower, lo, hi in ((p, True, POS_LO, 1), (rev, False, 1, POS_HI)):
+        sq, brackets, repeated = intpoly.isolate_brackets(q, [_POSITIVE])
+        at_one = intpoly.sign_at_scaled(sq, 1, 1)
+        for bracket in brackets:
+            A, B, D = cell = intpoly.refine_bracket(sq, bracket, _BIN_WIDTH)
+            if (B < D or A < D and intpoly.sign_at_scaled(sq, A, D) != at_one) == lower:
+                roots.append((q, cell, intpoly.step_root_at(q, sq, cell)))
+        while repeated is not None:  # a root of multiplicity m is seen at m levels
+            chain = intpoly.sturm_chain(_deflated(repeated)[0])
+            excess += intpoly.count_roots(chain, lo, hi)
+            repeated = chain[-1] if intpoly.degree(chain[-1]) >= 1 else None
+    return roots, excess
+
+
+def _booked_roots(p: intpoly.IntPoly, transform):
+    """What the scan books for P, `transform` its Descartes transform over (1/2, 1): P's roots
+    in (1/2, 1] and rev(P)'s in (1, 2) as (q, cell, flags), each cell the one a scan of all of
+    (1/2, 2) gives, and the sum of their multiplicities past the first.
+
+    1, the seam of the two halves, is decided by P(1) = 0 and booked in its fixed bin cell,
+    where no other root of P is: P below 1 by `_reversal_cells`, above 1 by an enclosure of P
+    over (x - 1)^m.  Where any of that is not certified, `_fallback`.
+    """
+    rev, cells, excess = _reversed(p), None, 0
+    if one := sum(p) == 0:
+        deflated, m = _deflated(p)
+        vlo, vhi = intpoly.eval_interval_scaled(deflated, _CELL, _ONE[1], _CELL)
+        excess = m - 1
+    if not one or vlo > 0 or vhi < 0:
+        cells = _reversal_cells(p, rev, transform)
+    if cells is None:
+        roots, more = _fallback(p, rev)
+        return roots, excess + more
+    roots = [(q, cell, intpoly.step_root_at(q, q, cell)) for q, side in zip((p, rev), cells) for cell in side]
+    if one:  # P's prefixes at 1 are its partial sums
+        roots.append((p, _ONE, intpoly.step_root_at(p, p, (1, 1, 1))))
+    return roots, excess
+
+
 def _scan_chunk(args) -> ScanSummary:
     degree, mask_lo, mask_hi, bins, collect = args
     out = _empty_summary(degree, bins)
     odd = sum(1 << j for j in range(0, degree, 2))  # mask ^ odd is the mask of P(-x)
-    matrix = intpoly.descartes_matrix(degree, _POSITIVE)
+    matrix = intpoly.descartes_matrix(degree, _LOW)
     columns = list(zip(*matrix))
     coeffs = list(LittlewoodPoly.from_mask(degree, mask_lo ^ (mask_lo >> 1)).coeffs)
     transform = [sum(a * c for a, c in zip(row, coeffs)) for row in matrix]
@@ -237,14 +348,9 @@ def _scan_chunk(args) -> ScanSummary:
             coeffs[j] = c = -coeffs[j]
             transform = [t + 2 * c * v for t, v in zip(transform, columns[j])]
         mask, p = i ^ (i >> 1), tuple(coeffs)
-        sq, brackets, repeated = intpoly.descartes_brackets(p, _POSITIVE, transform, _BIN_WIDTH)
-        while repeated is not None:  # a root of multiplicity m is seen at m levels
-            chain = intpoly.sturm_chain(repeated)
-            out.pos_roots_with_multiplicity += intpoly.count_roots(chain, POS_LO, POS_HI)
-            repeated = chain[-1] if intpoly.degree(chain[-1]) >= 1 else None
-        for bracket in brackets:
-            A, B, D = bracket = intpoly.refine_bracket(sq, bracket, _BIN_WIDTH)
-            step, mirror = intpoly.step_root_at(p, sq, bracket)
+        roots, excess = _booked_roots(p, transform)
+        out.pos_roots_with_multiplicity += excess
+        for q, (A, B, D), (step, mirror) in roots:
             out.pos_roots += 1
             out.pos_step_roots += step
             out.neg_step_roots += mirror
@@ -254,8 +360,8 @@ def _scan_chunk(args) -> ScanSummary:
             out.hist_neg_roots[neg] += 1
             out.hist_neg_steps[neg] += mirror
             if collect:
-                mid = (A + B) / (2 * D)
-                out.roots_seen += [(degree, mask, mid, step), (degree, mask ^ odd, -mid, mirror)]
+                qmask, mid = mask if q is p else LittlewoodPoly(q).mask(), (A + B) / (2 * D)
+                out.roots_seen += [(degree, qmask, mid, step), (degree, qmask ^ odd, -mid, mirror)]
     # every root of this chunk is also the negative root of the mirrored polynomial
     out.pos_roots_with_multiplicity += out.pos_roots
     out.neg_roots, out.neg_roots_with_multiplicity = out.pos_roots, out.pos_roots_with_multiplicity
@@ -274,10 +380,13 @@ def scan(
     """Count (step) roots of every Littlewood polynomial with rho_0 = +1.
 
     Enumerates all 2^n sign patterns per degree n in [1, max_degree]; each
-    distinct real root of each polynomial counts once.  Negative roots are
-    the mirrored positive ones, isolated by Descartes bisection (see the
-    module docstring).  Work is split into contiguous ranges of Gray-code
-    indices; merging is a plain sum, so totals do not depend on `jobs`.
+    distinct real root of each polynomial counts once.  Each polynomial is
+    isolated in (1/2, 1) only, by Descartes bisection; its roots there are
+    also booked as the reciprocal roots of its reversal in (1, 2), and every
+    positive root as the negative root of P(-x) (see the module docstring).
+    So a chunk books roots of polynomials outside it.  Work is split into
+    contiguous ranges of Gray-code indices; merging is a plain sum, so totals
+    do not depend on `jobs`.
     """
     if not (1 <= max_degree <= MAX_SCAN_DEGREE):
         raise BudgetError("max_degree must lie in 1..%d" % MAX_SCAN_DEGREE)
@@ -314,11 +423,13 @@ def root_records(roots_seen):
 
     Every scan cell is a cell of the bisection of (1/2, 2), or its mirror: (A, A + 3, D) with D a
     power of 2.  Its midpoint (2A + 3) / 2D is an exact float in lowest terms, so the recorded
-    midpoint gives back the cell.  The squarefree part is taken once per polynomial.
+    midpoint gives back the cell.  The squarefree part is taken once per polynomial, and is the
+    polynomial itself where `squarefree_mod` certifies it (coefficients +-1: the leading one is
+    a unit modulo every prime), with no Sturm chain.
     """
     for (degree, mask), group in groupby(roots_seen, key=lambda r: r[:2]):
         poly = LittlewoodPoly.from_mask(degree, mask)
-        sq = intpoly.squarefree_part(poly.coeffs)
+        sq = poly.coeffs if intpoly.squarefree_mod(poly.coeffs) else intpoly.squarefree_part(poly.coeffs)
         for _, _, mid, step in group:
             n, d = mid.as_integer_ratio()
             yield RootRecord(poly, _root_in(sq, ((n - 3) // 2, (n + 3) // 2, d // 2), ROOT_WIDTH), step, degree)

@@ -297,6 +297,27 @@ def test_squarefree_part_and_chain_match_sympy_sqf_part():
         assert (repeated is None) == (ip.degree(ip.sturm_chain(p)[-1]) < 1)
 
 
+def test_squarefree_mod_certifies_squarefree():
+    # gcd(p, p') = 1 modulo a prime that does not divide the leading coefficient certifies p
+    # squarefree; False may be the prime's accident (x^2 - 3 is x^2 modulo 3).  On the
+    # normalized Littlewood polynomials of degree <= 10 the default prime misses none
+    rng = random.Random(25)
+    for _ in range(200):
+        p = (rng.choice((-2, -1, 1, 3)),)
+        for _ in range(rng.randint(1, 3)):
+            f = ip.normalize(tuple(rng.randint(-3, 3) for _ in range(rng.randint(2, 3)))) or (1,)
+            p = ip.mul(p, ip.mul(f, f) if rng.random() < 0.3 else f)
+        squarefree = ip.degree(ip.poly_gcd(p, ip.derivative(p))) < 1
+        for prime in (2, 3, 5, 2**31 - 1):
+            if p[-1] % prime and ip.squarefree_mod(p, prime):
+                assert squarefree, (p, prime)
+    assert ip.squarefree_mod((-3, 0, 1)) and not ip.squarefree_mod((-3, 0, 1), 3)
+    for d in range(1, 11):
+        for mask in range(2**d):
+            p = (1,) + tuple(-1 if (mask >> j) & 1 else 1 for j in range(d))
+            assert ip.squarefree_mod(p) == (ip.squarefree_chain(p)[2] is None), p
+
+
 def test_root_sign_tests_for_zero_once_at_the_second_straddle(monkeypatch):
     # x = sqrt2 in (1, 2): p = x^2 - 2 straddles 0 at every bracket, and the
     # gcd test after one 2^5-fold refinement decides it, not a walk below 2^-64

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import operator
 import random
@@ -155,10 +156,11 @@ def _brackets_across_zero(p, root):
 
 
 def _descartes_brackets(coeffs):
-    """The scan's (squarefree part, brackets, repeated part) of the roots in (1/2, 2)."""
+    """(squarefree part, brackets, repeated part) of the roots in (1/2, 2) by Descartes
+    bisection of (1/2, 2), and Sturm's answer where that hands over."""
     matrix = ip.descartes_matrix(ip.degree(coeffs), lw._POSITIVE)
-    transform = [sum(map(operator.mul, row, coeffs)) for row in matrix]
-    return ip.descartes_brackets(coeffs, lw._POSITIVE, transform, lw._BIN_WIDTH)
+    cells = ip.descartes_cells(lw._POSITIVE, [sum(map(operator.mul, row, coeffs)) for row in matrix], lw._BIN_WIDTH)
+    return ip.isolate_brackets(coeffs, [lw._POSITIVE]) if cells is None else (coeffs, cells, None)
 
 
 def test_fast_step_matches_public_api():
@@ -231,15 +233,16 @@ def test_descartes_brackets_refine_to_the_sturm_brackets(monkeypatch):
 
 
 def test_scan_11_kernel_calls(monkeypatch):
-    # work, not wall clock: one scan(11) builds Sturm chains only where
-    # Descartes bisection hands over (and for the repeated parts there), and
-    # asks root_sign only for a prefix the running enclosure leaves open
+    # work, not wall clock: one scan(11) isolates every polynomial in (1/2, 1) only, where no
+    # polynomial falls back, so it builds no Sturm chain; it makes one float proposal per root
+    # below 1, which also serves the reversal's root above 1, and asks root_sign only for a
+    # prefix the running enclosure leaves open
     calls = collections.Counter()
-    for name in ("sturm_chain", "root_sign"):
+    for name in ("sturm_chain", "root_sign", "_float_root"):
         kernel = getattr(ip, name)
         monkeypatch.setattr(ip, name, lambda *a, _kernel=kernel, _name=name: calls.update([_name]) or _kernel(*a))
     lw.scan(11)
-    assert calls == {"sturm_chain": 106, "root_sign": 878}
+    assert (calls["sturm_chain"], calls["root_sign"], calls["_float_root"]) == (0, 124, 1656)
 
 
 def test_is_step_root_rejects_non_roots_and_other_forms():
@@ -390,50 +393,110 @@ def test_integer_bins_match_the_fraction_bins(case):
     assert lw._bins(A, B, D, bins) == want
 
 
-def test_scan_opens_no_more_workers_than_tasks(monkeypatch):
-    # a fake pool: it records its size and maps the tasks inline, so no
-    # process is started
-    import multiprocessing
+class _InlinePool:
+    """A fake `multiprocessing.Pool`: it records its size and maps the tasks inline, so no
+    process is started."""
 
     sizes = []
 
-    class Pool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def __init__(self, processes):
+        self.sizes.append(processes)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def imap_unordered(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+    def imap_unordered(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
 
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+
+def test_scan_opens_no_more_workers_than_tasks(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
     want = lw.scan(3).to_json_dict()
     assert lw.scan(3, jobs=64).to_json_dict() == want  # one chunk per degree
     assert lw.scan(3, jobs=2).to_json_dict() == want
-    assert sizes == [3, 2]
+    assert _InlinePool.sizes == [3, 2]
+
+
+# sha256 of the scan JSON and of roots_seen, by (max_degree, bins): scan(12) from the two-sided
+# scan, before the mirror and the Descartes pre-test; scan(13) and scan(10, bins=37) from the
+# matrix-product Descartes kernel and plain bisection, before the Taylor shifts and the float
+# proposals; scan(11) and scan(14) from the Descartes kernel over all of (1/2, 2), before the
+# reversal
+_SCAN_DIGESTS = {
+    (11, 200): (
+        "3e4a20299c996e74c568ecb3052e519f985cc09066a713e33cb21a17c223c3b3",
+        "dd07e9998d0576dd1d50be2d3c17778e52de9a70b04d9954411ac33347dd34e3",
+    ),
+    (12, 200): (
+        "0299fbb97da8bf1fbb775e1a5cd209b0d1a9a7bb69acd0e46af41abbfb351722",
+        "8e8e0f750ff68b0e3cc7ad050ac703c5d17af157454f1cfdbaa58d5a03e245cb",
+    ),
+    (13, 200): (
+        "dbd04099a3b18104c4ad989fbe835630f2d3e71969b473e445df03f4ae97ffad",
+        "7e138d0447bc51b0118b65fe651feef9f9e63c75aefa77dd133a4c0fc90346ac",
+    ),
+    (14, 200): (
+        "a87a27456df3867baaa91108bdf2ec0e305ad0407b34df34ea8a82c7f3610ce8",
+        "1c3bec9a457252d8ecde2585d7e6481f7857cee55fdc58ec7e59e48e81fd438b",
+    ),
+    (10, 37): (
+        "308162e0cb1a6c7fc8a5f95474c637af8c5e2cd24e32aa236ff5492acd50025a",
+        "ca5a6bfb7072d5a8bf1881e155dff8631f3cba18e0d870c682a68b4be6105ae1",
+    ),
+}
+
+
+def _scan_digests(max_degree, bins, jobs=1):
+    s = lw.scan(max_degree, jobs=jobs, bins=bins, collect_roots=True)
+    return tuple(
+        hashlib.sha256(json.dumps(data, **kw).encode()).hexdigest()
+        for data, kw in ((s.to_json_dict(), dict(sort_keys=True)), (s.roots_seen, {}))
+    )
 
 
 def test_scan_12_digests():
-    # sha256 of scan(12) from the two-sided scan, before the mirror and the
-    # Descartes pre-test
-    s = lw.scan(12, collect_roots=True)
-    digest = hashlib.sha256(json.dumps(s.to_json_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == "0299fbb97da8bf1fbb775e1a5cd209b0d1a9a7bb69acd0e46af41abbfb351722"
-    digest = hashlib.sha256(json.dumps(s.roots_seen).encode()).hexdigest()
-    assert digest == "8e8e0f750ff68b0e3cc7ad050ac703c5d17af157454f1cfdbaa58d5a03e245cb"
-    # scan(13) and scan(10, bins=37) as written by the matrix-product Descartes
-    # kernel and plain bisection, before the Taylor shifts and the float proposals
-    s = lw.scan(13, collect_roots=True)
-    digest = hashlib.sha256(json.dumps(s.to_json_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == "dbd04099a3b18104c4ad989fbe835630f2d3e71969b473e445df03f4ae97ffad"
-    digest = hashlib.sha256(json.dumps(s.roots_seen).encode()).hexdigest()
-    assert digest == "7e138d0447bc51b0118b65fe651feef9f9e63c75aefa77dd133a4c0fc90346ac"
-    digest = hashlib.sha256(json.dumps(lw.scan(10, bins=37).to_json_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == "308162e0cb1a6c7fc8a5f95474c637af8c5e2cd24e32aa236ff5492acd50025a"
+    for (max_degree, bins), want in _SCAN_DIGESTS.items():
+        assert _scan_digests(max_degree, bins) == want, (max_degree, bins)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("proposal", ["none", "wrong_cell", "nan", "other_root", "far_end"])
+def test_scan_falls_back_where_a_proposal_fails(monkeypatch, proposal, every):
+    # every `every`-th float proposal fails, in the reversal's bin cells and in the fallback's
+    # refine_bracket alike: None, a point two cells off the root, NaN, the proposal of another
+    # root of the same polynomial, which passes the two signs, or a point at the far end of the
+    # root's own bin cell, which passes P's signs and leaves 1/y to rev(P)'s.  A polynomial whose
+    # proposal fails falls back to Sturm isolation of (1/2, 2) for it and its reversal, and
+    # every pinned digest stays, also where a chunk of 3 jobs books roots of other chunks
+    # (scan(13), 3 s with every proposal failing, only where they return None)
+    import multiprocessing
+
+    propose, calls, first = ip._float_root, itertools.count(1), {}
+
+    def failing(p, lo, hi, cell):
+        x = propose(p, lo, hi, cell)
+        other = first.setdefault(p, x)
+        if next(calls) % every:
+            return x
+        if proposal == "far_end" and x is not None:
+            k, offset = divmod(x - 0.5, cell)  # the bin grid of (1/2, 2) when cell is 3 / 2^14
+            return 0.5 + (k + (0.999 if offset < cell / 2 else 0.001)) * cell
+        return {"wrong_cell": None if x is None else x + 2 * cell, "nan": float("nan"), "other_root": other}.get(proposal)
+
+    handed_over, fallback = [], lw._fallback
+    monkeypatch.setattr(ip, "_float_root", failing)
+    monkeypatch.setattr(lw, "_fallback", lambda p, rev: handed_over.append(p) or fallback(p, rev))
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    for jobs in (1, 3):
+        for key in ((11, 200), (10, 37)) + (((13, 200),) if jobs == every and proposal == "none" else ()):
+            assert _scan_digests(*key, jobs=jobs) == _SCAN_DIGESTS[key], (key, jobs)
+    assert len(handed_over) > (50 if proposal == "other_root" else 1000)
 
 
 def test_mirror_flag_is_the_step_test_of_the_mirrored_root():
@@ -581,3 +644,39 @@ def test_a_cell_without_a_sign_change_is_refused():
         lw._root_in(sq, (5, 8, 4), lw.ROOT_WIDTH)
     with pytest.raises(ValueError):
         list(lw.root_records([(2, 3, 1.625, False)]))
+
+
+def _reversal_cases():
+    """Integer polynomials for `_booked_roots` whose only dyadic root, if any, is 1: each
+    Littlewood polynomial of degree <= 7, six that take the fallback, and two that do not."""
+    cube, golden, inverse = ip.mul((-1, 1), ip.mul((-1, 1), (-1, 1))), (-1, -1, 1), (-1, 1, 1)
+    return [lw.LittlewoodPoly.from_mask(d, m).coeffs for d in range(1, 8) for m in range(1 << d)] + [
+        ip.mul((-1, 1), (-10001, 0, 10000)),  # 1 and 1.00005 share the cell of 1
+        ip.mul((-1, 1), (-10000, 0, 10001)),  # 1 and 0.99995 share it
+        ip.mul(inverse, inverse),  # a double root at 0.618
+        ip.mul(cube, ip.mul(inverse, inverse)),  # and 1 three times
+        (19664**2 - 2, -2 * 32768 * 19664, 32768**2),  # (19664 +- 2^(1/2)) / 32768 in one bin cell
+        ip.mul((-99990, 100000), ip.mul((-100004, 100000), (-100005, 100000))),  # 3 roots in the cell of 1
+        ip.mul(cube, ip.mul(golden, golden)),  # 1 three times and a double root at 1.618: certified
+        ip.mul((-1, 1), (1, -4, 1, 4, -1)),  # 1, 0.518 and 1.246: certified
+    ]
+
+
+def test_booked_roots_are_the_fallbacks_and_count_every_multiplicity(monkeypatch):
+    # what the scan books for P, certified through the reversal or not, is the Sturm fallback's
+    # answer: P's roots in (1/2, 1] and rev(P)'s in (1, 2), each in the cell a scan of all of
+    # (1/2, 2) gives them; with their multiplicities they are sympy's roots there
+    x, fallback, handed_over = sympy.Symbol("x"), lw._fallback, []
+    monkeypatch.setattr(lw, "_fallback", lambda p, rev: handed_over.append(p) or fallback(p, rev))
+    for p in _reversal_cases():
+        transform = [sum(map(operator.mul, row, p)) for row in ip.descartes_matrix(ip.degree(p), lw._LOW)]
+        roots, excess = lw._booked_roots(p, transform)
+        want, want_excess = fallback(p, lw._reversed(p))
+        assert sorted(roots) == sorted(want), p
+        assert excess == want_excess + max(lw._deflated(p)[1] - 1, 0), p
+        multiplicity = 0
+        for q, lo, hi in ((p, F(1, 2), 1), (lw._reversed(p), 1, 2)):
+            roots_of_q = sympy.Poly(list(reversed(q)), x).real_roots()
+            multiplicity += sum(1 for r in roots_of_q if lo < r and (r <= hi if q is p else r < hi))
+        assert len(roots) + excess == multiplicity, p
+    assert handed_over == _reversal_cases()[-8:-2]
