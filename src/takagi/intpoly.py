@@ -6,8 +6,7 @@ decision here is exact big-integer arithmetic: evaluation at rationals is done
 with cleared denominators (`sign_at_scaled`, `eval_interval_scaled`), and Sturm
 chains use sign-corrected pseudo-remainders with content stripping to control
 coefficient growth.  `squarefree_chain` is the one squarefree computation:
-`isolate_brackets`, `squarefree_part` and `scalars.algebraic` read from it;
-`squarefree_mod` only certifies that p is squarefree, by Euclid modulo a prime.
+`isolate_brackets`, `squarefree_part` and `scalars.algebraic` read from it.
 
 Real roots live on integer brackets (A, B, D), the interval (A/D, B/D).  One
 walker isolates them by Sturm-count bisection (`isolate_brackets`), refines
@@ -17,14 +16,15 @@ Fraction-endpoint form; `descartes_cells` isolates on the same grid by
 `descartes_count`, the bound on a bracket's roots without a Sturm chain,
 takes each half's transform from its parent's by Taylor shifts
 (`descartes_children`), and returns None where it cannot certify.
-`refine_bracket` proposes, then verifies: a float Newton step (`_float_root`,
-the one float computation, which the Littlewood scan's bin cells use too)
-proposes the root, and the cell of the target width that holds it is taken
-only on two exact signs, so it is the cell bisection reaches.  The sign of
-any integer polynomial at such a root comes from one kernel, `root_sign`,
-which the step test (for a prefix its running enclosure leaves open), the
-step engine's recursion and `scalars.scalar_sign` all call.  The `*_dyadic`
-names are the denominator-2^k cases of the scaled kernels.
+`refine_bracket` proposes, then verifies: a float Newton step (`float_root`,
+the one float computation) proposes the root, and the cell of the target
+width that holds it is taken only on two exact signs (`cell_holding`), so it
+is the cell bisection reaches; the Littlewood scan takes its bin cells with
+the same two.  The sign of any integer polynomial at such a root comes from
+one kernel, `root_sign`, which the step test (for a prefix its running
+enclosure leaves open), the step engine's recursion and `scalars.scalar_sign`
+all call.  The `*_dyadic` names are the denominator-2^k cases of the scaled
+kernels.
 """
 
 from __future__ import annotations
@@ -257,31 +257,6 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return squarefree_chain(p)[0]
 
 
-def squarefree_mod(p: IntPoly, prime: int = 32749) -> bool:
-    """Whether gcd(p, p') is 1 modulo `prime`, which certifies p squarefree when `prime` does not
-    divide its leading coefficient.
-
-    A factor of positive degree common to p and p' over Q divides both in Z[x] (Gauss), with a
-    leading coefficient that divides p's; modulo `prime` it keeps its degree and still divides
-    both.  False may be an accident of the prime.  Euclid's algorithm over GF(prime); the
-    default prime is below 2^15, so every product fits one digit of a Python int.
-    """
-    a, b = [c % prime for c in p], [c % prime for c in derivative(p)]
-    while True:
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            return len(a) == 1
-        inverse = pow(b[-1], -1, prime)
-        b, n = [c * inverse % prime for c in b], len(b) - 1  # monic
-        while len(a) > n:  # a mod b
-            if f := a.pop():
-                off = len(a) - n
-                for i in range(n):
-                    a[off + i] = (a[off + i] - f * b[i]) % prime
-        a, b = b, a
-
-
 # ---------------------------------------------------------------------------
 # root brackets: (A, B, D) with D > 0 is the interval (A/D, B/D); A == B is
 # the exact root A/D
@@ -357,7 +332,7 @@ def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction, slo: int | Non
     end is a root; p need not be squarefree.  A midpoint that is the root
     ends the bisection with the exact bracket (M, M, D).  `slo` is the sign
     of p left of x, which every bracket of x shares; it is computed when
-    None.  When that cell lies k >= 4 levels down, `_float_root` proposes x
+    None.  When that cell lies k >= 4 levels down, `float_root` proposes x
     first, and the level-k cell that holds the proposal is taken if p has
     exact signs of opposite sign at its two ends: x is then inside it and on
     no grid point of a level <= k, so bisection ends in that same cell.
@@ -386,29 +361,37 @@ def refine_bracket(p: IntPoly, bracket: Bracket, width: Fraction, slo: int | Non
 
 
 def _proposed_cell(p: IntPoly, bracket: Bracket, k: int) -> Bracket | None:
-    """The level-k cell of `bracket` that holds `_float_root`'s proposal, if p has exact signs
+    """The level-k cell of `bracket` that holds `float_root`'s proposal, if p has exact signs
     of opposite sign at its two ends; None if not, or if floats overflow or propose nothing."""
     A, B, D = bracket
     w, Dk = B - A, D << k
     try:
-        x = _float_root(p, A / D, B / D, w / Dk)
+        x = float_root(p, A / D, B / D, w / Dk)
     except OverflowError:  # the ends or the coefficients are beyond floats
         return None
-    if x is None or not math.isfinite(x):
+    return None if x is None else cell_holding(p, x, (A << k, B << k, Dk), w)
+
+
+def cell_holding(p: IntPoly, x: float, bracket: Bracket, w: int) -> Bracket | None:
+    """The cell (L, L + w, D) of `bracket` = (A, B, D), cut into cells w wide (w divides B - A),
+    that holds the float x, if p has exact signs of opposite sign at its two ends; None if not,
+    if x is outside the bracket or if x is not finite.  The exact half of propose, then verify."""
+    if not math.isfinite(x):
         return None
+    A, B, D = bracket
     n, d = x.as_integer_ratio()
-    left = (A << k) + ((n * D - d * A) << k) // (d * w) * w
-    if A << k <= left < B << k and sign_at_scaled(p, left, Dk) * sign_at_scaled(p, left + w, Dk) < 0:
-        return left, left + w, Dk
+    left = A + (n * D - d * A) // (d * w) * w
+    if A <= left < B and sign_at_scaled(p, left, D) * sign_at_scaled(p, left + w, D) < 0:
+        return left, left + w, D
     return None
 
 
-def _float_root(p: IntPoly, lo: float, hi: float, cell: float) -> float | None:
+def float_root(p: IntPoly, lo: float, hi: float, cell: float) -> float | None:
     """A float well within `cell` of the root of p in (lo, hi), by Newton safeguarded by a float bracket.
 
     None where `cell` is narrower than 2^-40 of the ends' magnitude, which floats
     cannot resolve; OverflowError where p's coefficients are beyond floats.  Only a
-    proposal: `refine_bracket` checks it exactly.
+    proposal: `cell_holding` checks it exactly.
     """
     if cell * 2**40 < max(abs(lo), abs(hi)):
         return None

@@ -29,7 +29,6 @@ rev(P) fall back to Sturm isolation of (1/2, 2), which gives the same cells.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, groupby
@@ -46,8 +45,8 @@ _ANNULUS = ((-4, -1, 2), (1, 4, 2))  # (-2, -1/2) and (1/2, 2) as brackets
 _POSITIVE = _ANNULUS[1]
 _LOW = (1, 2, 2)  # (1/2, 1), where the scan isolates
 _CELL = 1 << 14  # the bin-width cells of (1/2, 2), level 13 of its bisection, are (A, A + 3, _CELL)
-_HALF = _CELL // 2  # A of the lowest, at 1/2
 _ONE = (_CELL - 2, _CELL + 1, _CELL)  # the one that holds 1
+_BELOW, _ABOVE = (_CELL // 2, _ONE[0], _CELL), (_ONE[1], 2 * _CELL, _CELL)  # the cells either side of it
 MAX_SCAN_DEGREE = 24
 
 
@@ -247,18 +246,6 @@ def _deflated(p: intpoly.IntPoly) -> tuple[intpoly.IntPoly, int]:
     return p, m
 
 
-def _bin_cell(q: intpoly.IntPoly, x: float, lo: int, hi: int) -> intpoly.Bracket | None:
-    """The bin cell (A, A + 3, 2^14) of (1/2, 2) that holds the float x, if lo <= A <= hi and q
-    has exact signs of opposite sign at its two ends; None if not, or if x is not finite."""
-    if not math.isfinite(x):
-        return None
-    n, d = x.as_integer_ratio()
-    A = _HALF + (n * _CELL - _HALF * d) // (3 * d) * 3
-    if lo <= A <= hi and intpoly.sign_at_scaled(q, A, _CELL) * intpoly.sign_at_scaled(q, A + 3, _CELL) < 0:
-        return A, A + 3, _CELL
-    return None
-
-
 def _reversal_cells(p: intpoly.IntPoly, rev: intpoly.IntPoly, transform) -> tuple[list, list] | None:
     """The bin cells of P's roots in (1/2, 1) and of rev(P)'s in (1, 2), or None unless certified.
 
@@ -275,10 +262,10 @@ def _reversal_cells(p: intpoly.IntPoly, rev: intpoly.IntPoly, transform) -> tupl
         return None
     below, above = [], []
     for a, b, d in cells:
-        y = intpoly._float_root(p, a / d, b / d, 3 / _CELL)
-        if y is None or (low := _bin_cell(p, y, _HALF, _ONE[0] - 3)) is None:
+        y = intpoly.float_root(p, a / d, b / d, 3 / _CELL)
+        if y is None or (low := intpoly.cell_holding(p, y, _BELOW, 3)) is None:
             return None
-        if (high := _bin_cell(rev, 1 / y, _ONE[1], 2 * _CELL - 3)) is None:
+        if (high := intpoly.cell_holding(rev, 1 / y, _ABOVE, 3)) is None:
             return None
         below.append(low)
         above.append(high)
@@ -423,13 +410,11 @@ def root_records(roots_seen):
 
     Every scan cell is a cell of the bisection of (1/2, 2), or its mirror: (A, A + 3, D) with D a
     power of 2.  Its midpoint (2A + 3) / 2D is an exact float in lowest terms, so the recorded
-    midpoint gives back the cell.  The squarefree part is taken once per polynomial, and is the
-    polynomial itself where `squarefree_mod` certifies it (coefficients +-1: the leading one is
-    a unit modulo every prime), with no Sturm chain.
+    midpoint gives back the cell.  The squarefree part is taken once per polynomial.
     """
     for (degree, mask), group in groupby(roots_seen, key=lambda r: r[:2]):
         poly = LittlewoodPoly.from_mask(degree, mask)
-        sq = poly.coeffs if intpoly.squarefree_mod(poly.coeffs) else intpoly.squarefree_part(poly.coeffs)
+        sq = intpoly.squarefree_part(poly.coeffs)
         for _, _, mid, step in group:
             n, d = mid.as_integer_ratio()
             yield RootRecord(poly, _root_in(sq, ((n - 3) // 2, (n + 3) // 2, d // 2), ROOT_WIDTH), step, degree)

@@ -297,27 +297,6 @@ def test_squarefree_part_and_chain_match_sympy_sqf_part():
         assert (repeated is None) == (ip.degree(ip.sturm_chain(p)[-1]) < 1)
 
 
-def test_squarefree_mod_certifies_squarefree():
-    # gcd(p, p') = 1 modulo a prime that does not divide the leading coefficient certifies p
-    # squarefree; False may be the prime's accident (x^2 - 3 is x^2 modulo 3).  On the
-    # normalized Littlewood polynomials of degree <= 10 the default prime misses none
-    rng = random.Random(25)
-    for _ in range(200):
-        p = (rng.choice((-2, -1, 1, 3)),)
-        for _ in range(rng.randint(1, 3)):
-            f = ip.normalize(tuple(rng.randint(-3, 3) for _ in range(rng.randint(2, 3)))) or (1,)
-            p = ip.mul(p, ip.mul(f, f) if rng.random() < 0.3 else f)
-        squarefree = ip.degree(ip.poly_gcd(p, ip.derivative(p))) < 1
-        for prime in (2, 3, 5, 2**31 - 1):
-            if p[-1] % prime and ip.squarefree_mod(p, prime):
-                assert squarefree, (p, prime)
-    assert ip.squarefree_mod((-3, 0, 1)) and not ip.squarefree_mod((-3, 0, 1), 3)
-    for d in range(1, 11):
-        for mask in range(2**d):
-            p = (1,) + tuple(-1 if (mask >> j) & 1 else 1 for j in range(d))
-            assert ip.squarefree_mod(p) == (ip.squarefree_chain(p)[2] is None), p
-
-
 def test_root_sign_tests_for_zero_once_at_the_second_straddle(monkeypatch):
     # x = sqrt2 in (1, 2): p = x^2 - 2 straddles 0 at every bracket, and the
     # gcd test after one 2^5-fold refinement decides it, not a walk below 2^-64
@@ -425,7 +404,7 @@ def test_refine_bracket_matches_plain_bisection(monkeypatch):
         "none": lambda p, lo, hi, cell: None,
     }
     for name, proposal in proposals.items():
-        monkeypatch.setattr(ip, "_float_root", proposal)
+        monkeypatch.setattr(ip, "float_root", proposal)
         assert [ip.refine_bracket(p, b, w) for p, b, w in cases] == want, name
 
 
@@ -440,3 +419,17 @@ def test_refine_bracket_takes_a_verified_proposal_in_two_signs(monkeypatch):
     assert got == _bisect_reference((-2, 0, 1), (1, 2, 1), F(1, 2**30))
     signs.clear()
     assert ip.refine_bracket((-2, 0, 1), (1, 2, 1), F(1, 8), -1) == (11, 12, 8) and len(signs) == 3
+
+
+def test_cell_holding_cuts_the_bracket_from_its_left_end():
+    # x^2 - 2 on (1, 31/16) cut into five cells 3/16 wide: sqrt2 = 22.6/16 is in (22, 25)
+    p, bracket = (-2, 0, 1), (16, 31, 16)
+    assert ip.cell_holding(p, math.sqrt(2), bracket, 3) == (22, 25, 16)
+    assert ip.cell_holding(p, 22 / 16, bracket, 3) == (22, 25, 16)  # a left end is in its cell
+    assert ip.cell_holding(p, 25 / 16, bracket, 3) is None  # the next cell has no sign change
+    for x in (math.nan, math.inf, 1.0 - 1e-9, 31 / 16):  # no number, or outside the half-open bracket
+        assert ip.cell_holding((-17, 16), x, bracket, 3) is None
+    assert ip.cell_holding((-15, 16), 0.9, bracket, 3) is None  # (13, 16) changes sign but is outside
+    assert ip.cell_holding((-2, 1), 31 / 16, bracket, 3) is None  # so does (31, 34)
+    assert ip.cell_holding((-17, 16), 1.0, bracket, 3) == (16, 19, 16)
+    assert ip.cell_holding((-1, 1), 1.0, bracket, 3) is None  # a root on the cell's end: no sign change

@@ -238,11 +238,11 @@ def test_scan_11_kernel_calls(monkeypatch):
     # below 1, which also serves the reversal's root above 1, and asks root_sign only for a
     # prefix the running enclosure leaves open
     calls = collections.Counter()
-    for name in ("sturm_chain", "root_sign", "_float_root"):
+    for name in ("sturm_chain", "root_sign", "float_root"):
         kernel = getattr(ip, name)
         monkeypatch.setattr(ip, name, lambda *a, _kernel=kernel, _name=name: calls.update([_name]) or _kernel(*a))
     lw.scan(11)
-    assert (calls["sturm_chain"], calls["root_sign"], calls["_float_root"]) == (0, 124, 1656)
+    assert (calls["sturm_chain"], calls["root_sign"], calls["float_root"]) == (0, 124, 1656)
 
 
 def test_is_step_root_rejects_non_roots_and_other_forms():
@@ -477,7 +477,7 @@ def test_scan_falls_back_where_a_proposal_fails(monkeypatch, proposal, every):
     # (scan(13), 3 s with every proposal failing, only where they return None)
     import multiprocessing
 
-    propose, calls, first = ip._float_root, itertools.count(1), {}
+    propose, calls, first = ip.float_root, itertools.count(1), {}
 
     def failing(p, lo, hi, cell):
         x = propose(p, lo, hi, cell)
@@ -490,7 +490,7 @@ def test_scan_falls_back_where_a_proposal_fails(monkeypatch, proposal, every):
         return {"wrong_cell": None if x is None else x + 2 * cell, "nan": float("nan"), "other_root": other}.get(proposal)
 
     handed_over, fallback = [], lw._fallback
-    monkeypatch.setattr(ip, "_float_root", failing)
+    monkeypatch.setattr(ip, "float_root", failing)
     monkeypatch.setattr(lw, "_fallback", lambda p, rev: handed_over.append(p) or fallback(p, rev))
     monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     for jobs in (1, 3):
