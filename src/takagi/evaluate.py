@@ -8,16 +8,21 @@ elsewhere, and converts between points in [0, 1] and their +-1 Rademacher
 digit sequences.
 
 One walker, `_residues`, follows the doubling orbit in integer residues
-(`_orbit` finds its period).  An exact Geometric sum, over a rational or
-algebraic alpha, has one closed form: the integer polynomial of the tent
-numerators evaluated at alpha/2 (`eval_truncated`, `eval_periodic`).  One
-kernel, `_periodic_bounds` over the rounded prefix `_dyadic_prefix_bounds`,
-encloses c_m summed against an eventually periodic factor, be it tent values
-or the Rademacher form's (1 - rho_m A_m)/4.  The factors reach it as integer
-numerators over one denominator (t's for tents, 4 (2^p - 1) 2^(start+p) or a
-power of two for Rademacher factors), the coefficients as the integer pairs
-of `coefficient_bounds`, and its two sums are integers over 2^bits: one floor
-division per term, and no Fraction or Scalar built per term for PowerSquared.
+(`_orbit` finds its period); where no period is used, `_tent_pairs` walks it
+once more and hands the rounded prefix its tent pairs directly.  An exact
+Geometric sum, over a rational or algebraic alpha, has one closed form: the
+integer polynomial of the tent numerators evaluated at alpha/2
+(`eval_truncated`, `eval_periodic`).  One kernel, `_periodic_bounds` over the
+rounded prefix `_dyadic_prefix_bounds`, encloses c_m summed against an
+eventually periodic factor, be it tent values or the Rademacher form's
+(1 - rho_m A_m)/4.  The factors reach it as integer numerators over one
+denominator (t's for tents, 4 (2^p - 1) 2^(start+p) or a power of two for
+Rademacher factors), the coefficients as the integer pairs of
+`coefficient_bounds`, and the residue-class tails as integer numerators over
+their own denominators.  The prefix sums are integers over 2^bits, one floor
+division per term, and the tail sums are integers over the product of the
+tails' denominators, reduced once: no Fraction or Scalar is built per term or
+per class for PowerSquared.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, cycle, islice, repeat, takewhile
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
@@ -197,8 +202,9 @@ class CoefficientSequence(ABC):
         """Index M with 0 < 2^m c_m < 2^(m+1) c_(m+1) for all m >= M, if known."""
         return None
 
-    def residue_tail_enclosures(self, m0: int, p: int) -> list[tuple[Fraction, Fraction]] | None:
-        """Enclosures of S_j = sum_{k>=0} c_{m0+j+kp} for j = 0..p-1, if available.
+    def residue_tail_enclosures(self, m0: int, p: int) -> list[tuple[int, int, int]] | None:
+        """Integers (lo, hi, den), den > 0, with lo/den <= S_j <= hi/den for the
+        residue-class tails S_j = sum_{k>=0} c_{m0+j+kp}, j = 0..p-1, if available.
 
         Lets slowly decaying sequences be summed against a periodic tent orbit
         without touching astronomically many terms.
@@ -277,15 +283,15 @@ class PowerSquared(CoefficientSequence):
         # 2^(m+1)/(m+2)^2 > 2^m/(m+1)^2 iff 2(m+1)^2 > (m+2)^2, true for m >= 2
         return 2
 
-    def residue_tail_enclosures(self, m0: int, p: int) -> list[tuple[Fraction, Fraction]]:
+    def residue_tail_enclosures(self, m0: int, p: int) -> list[tuple[int, int, int]]:
+        """(lo, hi, 30pa^5) for a = m0 + 1 + j: numerators of S_j over that denominator."""
         # Euler-Maclaurin for g(k) = 1/(a+pk)^2 through the B_4 term,
-        # 1/(pa) + 1/(2a^2) + p/(6a^3) - p^3/(30a^5) over one denominator
-        # 30pa^5; the remainder is bounded by |g'''(0)|/720 = p^3/(30 a^5)
+        # 1/(pa) + 1/(2a^2) + p/(6a^3) - p^3/(30a^5) as a numerator over 30pa^5;
+        # the remainder is bounded by |g'''(0)|/720 = p^3/(30 a^5), 2p^4 over it
         out = []
         for a in range(m0 + 1, m0 + p + 1):
-            hi = 30 * a**4 + 15 * p * a**3 + 5 * p**2 * a**2
-            den = 30 * p * a**5
-            out.append((Fraction(hi - 2 * p**4, den), Fraction(hi, den)))
+            hi = a * a * (a * (30 * a + 15 * p) + 5 * p * p)
+            out.append((hi - 2 * p**4, hi, 30 * p * a**5))
         return out
 
     def __repr__(self) -> str:
@@ -513,10 +519,17 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
         if start is not None:
             return _periodic_bounds(c, list(_tent_numerators(t, residues)), t.denominator, start, width)
     # without residue-class tails, or without a period within the cap, the
-    # rounded prefix needs only its n + 1 tents and never walks the period;
-    # a dyadic t's tents are 0 from the first 0 on
-    pairs = ((f, f) for f in takewhile(bool, _tent_numerators(t, _residues(t))))
-    return _rounded_bounds(c, pairs, t.denominator, width)
+    # rounded prefix needs only its n + 1 tents and never walks the period
+    return _rounded_bounds(c, _tent_pairs(t), t.denominator, width)
+
+
+def _tent_pairs(t: Fraction) -> Iterator[tuple[int, int]]:
+    """(f, f) for t's tent numerators, from its residues in place, up to the first 0."""
+    den, r = t.denominator, t.numerator % t.denominator
+    while r:
+        f = den - r if 2 * r >= den else r
+        yield f, f
+        r = 2 * r - den if 2 * r >= den else 2 * r
 
 
 def _periodic_bounds(
@@ -529,25 +542,25 @@ def _periodic_bounds(
     enclosures is summed against one period; any other gets a rounded prefix
     plus its l1 tail bound times max F = 1/2.  Scaling nums and den together
     moves no floor and no tail test, so the bounds depend on the factors only.
+    A round's class tails are summed over one common denominator with no gcd
+    and reduced once; every width is >= 0, so their total decides the round.
     """
     half = width / 2
-    bound = half * den
     block = nums[start:]
-    p = len(block)
-    pairs = ((f, f) for f in chain(nums, cycle(block) if any(block) else ()))
+    p, hnum, hden = len(block), half.numerator * den, half.denominator
+    exact = [(f, f) for f in nums]
+    pairs = chain(exact, cycle(exact[start:]) if any(block) else ())
     m0 = start
     for _ in range(80):
         encl = c.residue_tail_enclosures(m0, p)
         if encl is None:
             break
-        # every width f_j (hi_j - lo_j) is >= 0: the first partial sum past
-        # the bound fails the round
-        widths = accumulate(f * (hi - lo) for f, (lo, hi) in zip(block, encl))
-        if all(w <= bound for w in widths):
-            lo, hi = _dyadic_prefix_bounds(c, pairs, den, m0 - 1, half)
-            lo += Fraction(sum(f * elo for f, (elo, _) in zip(block, encl)), den)
-            hi += Fraction(sum(f * ehi for f, (_, ehi) in zip(block, encl)), den)
-            return lo, hi
+        lo, hi, tden = 0, 0, 1
+        for f, (elo, ehi, d) in zip(block, encl):
+            lo, hi, tden = lo * d + f * elo * tden, hi * d + f * ehi * tden, tden * d
+        if (hi - lo) * hden <= hnum * tden:
+            plo, phi = _dyadic_prefix_bounds(c, pairs, den, m0 - 1, half)
+            return plo + Fraction(lo, tden * den), phi + Fraction(hi, tden * den)
         m0 += p * max(1, m0 // p)
     return _rounded_bounds(c, pairs, den, width)
 

@@ -4,7 +4,8 @@ import hashlib
 import math
 import random
 from fractions import Fraction as F
-from itertools import islice
+from itertools import accumulate, islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -560,6 +561,8 @@ PINNED_SERIES_CASES = {
     "power-squared at the series-eval points": lambda: [e for t in SERIES_EVAL_POINTS for e in _power_squared_pair(t)],
     "power-squared at 11/37": lambda: _power_squared_pair(F(11, 37)),
     "power-squared at 157/389": lambda: [ev.eval_series(ev.PowerSquared(), F(157, 389), F(1, 10**12))],
+    # a preperiod of 3 before the period 2, in both kernels' orbits
+    "power-squared at 11/24": lambda: _power_squared_pair(F(11, 24)),
     # no residue-class tails: the rounded prefix over 2^15 rational terms
     "custom 1/(m+1)^2 at 11/37": lambda: [
         ev.eval_series(ev.Custom(lambda m: F(1, (m + 1) ** 2), lambda n: F(1, n + 1)), F(11, 37), F(1, 2**14))
@@ -575,6 +578,8 @@ SERIES_BOUND_DIGESTS = {
     "power-squared at 157/389": "c01d73f7ee55394432f7efe482b77cc81099b7016166ed876320099b0f71cba7",
     "custom 1/(m+1)^2 at 11/37": "ec5ae1ab997fb01535b7dcda8dafd72be7c45052d2786fb4145778fdc96c22cb",
     "sqrt2 geometric at 1/3": "08bf8e37d6ed230d460e8b1a7de86b652948aa7aadfadad88a334f574a3c36ac",
+    # first computed by the kernel that kept its residue-class tails as Fractions
+    "power-squared at 11/24": "7dd2b35e498ff2f958bc49b48d2c799a4ed108a19293d95dca8957b6647a11c3",
 }
 
 
@@ -641,3 +646,90 @@ def test_dyadic_points_stop_the_rounded_prefix_at_the_last_tent():
     for got in (ev.eval_series(c, t, width), ev.eval_from_rademacher(c, ev.rademacher_of(t)[0], width)):
         assert got.lo <= exact <= got.hi and got.hi - got.lo <= width
     assert calls == [0, 1, 2] + [0, 1, 2, 3]
+
+
+def test_power_squared_rounds_per_periodic_call(monkeypatch):
+    # every round of the doubling walk of m0 encloses its p residue classes:
+    # eval_series at 10^-12 passes on its 8th round, eval_from_rademacher at
+    # 2^-10 on its 2nd; a closed-form floor of the tails' width would skip the
+    # rounds that must fail, and this pin counts what it would save
+    rounds = []
+    enclose, periodic = ev.PowerSquared.residue_tail_enclosures, ev._periodic_bounds
+
+    def counted_enclose(self, m0, p):
+        rounds[-1] += 1
+        return enclose(self, m0, p)
+
+    def counted_periodic(*args):
+        rounds.append(0)
+        return periodic(*args)
+
+    monkeypatch.setattr(ev.PowerSquared, "residue_tail_enclosures", counted_enclose)
+    monkeypatch.setattr(ev, "_periodic_bounds", counted_periodic)
+    case = "power-squared at the series-eval points"
+    assert _bounds_digest(PINNED_SERIES_CASES[case]()) == SERIES_BOUND_DIGESTS[case]
+    # (eval_series, eval_from_rademacher) at each of the 11 points
+    assert rounds == [8, 2] * len(SERIES_EVAL_POINTS)
+
+
+def test_power_squared_past_the_orbit_cap_is_pinned(monkeypatch):
+    # with no period within the cap the rounded prefix reads the tents from
+    # the residues: 3/8 ends at its first 0 tent and t = 1 has none; digest
+    # first computed with the tents taken through `_tent_numerators`
+    monkeypatch.setattr(ev, "ORBIT_CAP", 2)
+    c = ev.PowerSquared()
+    got = [ev.eval_series(c, t, F(1, 2**14)) for t in (F(11, 37), F(3, 8), F(1))]
+    assert _bounds_digest(got) == "983770c80891033192e709b5c998eb86797fe3895fd742fa6b916ccc99321d86"
+
+
+def _fraction_tails(block, den, m0, half):
+    """One round of the kernel with Fraction tails: PowerSquared's class
+    enclosures as Fraction pairs, the width test on the running partial sums,
+    and the two tail sums; None where the round fails."""
+    p = len(block)
+    encl = []
+    for a in range(m0 + 1, m0 + p + 1):
+        hi = 30 * a**4 + 15 * p * a**3 + 5 * p**2 * a**2
+        d = 30 * p * a**5
+        encl.append((F(hi - 2 * p**4, d), F(hi, d)))
+    widths = accumulate(f * (hi - lo) for f, (lo, hi) in zip(block, encl))
+    if not all(w <= half * den for w in widths):
+        return None
+    return F(sum(f * lo for f, (lo, _) in zip(block, encl)), den), F(sum(f * hi for f, (_, hi) in zip(block, encl)), den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2500),
+    st.integers(2, 2**40),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=60),
+    st.one_of(
+        st.sampled_from([F(1), 1 - F(1, 10**15), 1 + F(1, 10**15)]),
+        st.fractions(min_value=F(1, 1000), max_value=1000),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_integer_tail_rounds_match_the_fraction_rounds(start, den, block, ratio, rng):
+    # factors F_m = nums[m]/den in [0, 1/2]; width is ratio times twice the
+    # first round's tail width, so rounds pass and fail at the edge, too
+    block = [f % (den // 2 + 1) for f in block]
+    nums = [rng.randrange(den // 2 + 1) for _ in range(start)] + block
+    tlo, thi = _fraction_tails(block, den, start, F(10**9))
+    w0 = thi - tlo
+    width = 2 * ratio * w0 if w0 else F(1, 1000)
+    m0, p = start, len(block)
+    while (tails := _fraction_tails(block, den, m0, width / 2)) is None:
+        m0 += p * max(1, m0 // p)
+    prefix, real = [], ev._dyadic_prefix_bounds
+
+    def spy(c, factors, den, n, width):
+        # the same round passes (checked before a wrong one sums its prefix)
+        assert n == m0 - 1
+        prefix.append(real(c, factors, den, n, width))
+        return prefix[-1]
+
+    with mock.patch.object(ev, "_dyadic_prefix_bounds", spy):
+        lo, hi = ev._periodic_bounds(ev.PowerSquared(), nums, den, start, width)
+    # and the integer tails are the Fraction tails
+    [(plo, phi)] = prefix
+    assert (lo - plo, hi - phi) == tails
