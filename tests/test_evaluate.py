@@ -674,8 +674,9 @@ def test_power_squared_rounds_per_periodic_call(monkeypatch):
 
 def test_power_squared_past_the_orbit_cap_is_pinned(monkeypatch):
     # with no period within the cap the rounded prefix reads the tents from
-    # the residues: 3/8 ends at its first 0 tent and t = 1 has none; digest
-    # first computed with the tents taken through `_tent_numerators`
+    # the residues, and 3/8's end at its first 0; t = 1, period 1, stays on
+    # the periodic path; digest first computed with the tents taken through
+    # `_tent_numerators`
     monkeypatch.setattr(ev, "ORBIT_CAP", 2)
     c = ev.PowerSquared()
     got = [ev.eval_series(c, t, F(1, 2**14)) for t in (F(11, 37), F(3, 8), F(1))]
