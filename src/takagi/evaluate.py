@@ -7,9 +7,9 @@ nearest integer.  This module evaluates such functions exactly at rationals
 elsewhere, and converts between points in [0, 1] and their +-1 Rademacher
 digit sequences.
 
-One walker, `_residues`, follows the doubling orbit in integer residues
-(`_orbit` finds its period); where no period is used, `_tent_pairs` walks it
-once more and hands the rounded prefix its tent pairs directly.  An exact
+One walker, `_residues`, follows the doubling orbit in integer residues;
+`_orbit` finds its period by arithmetic, with no residue table, and
+`_tent_pairs` reads the walker in place where no period is used.  An exact
 Geometric sum, over a rational or algebraic alpha, has one closed form: the
 integer polynomial of the tent numerators evaluated at alpha/2
 (`eval_truncated`, `eval_periodic`).  One kernel, `_periodic_bounds` over the
@@ -375,16 +375,20 @@ def _orbit(t: Fraction, limit: int | None = None) -> tuple[list[int], int | None
     """Doubling orbit of t mod 1 as its `_residues`.
 
     Returns (residues, start) where the next residue would repeat
-    residues[start], so the orbit is periodic from start on; or, after `limit`
-    residues without a repeat, (residues, None).
+    residues[start], so the orbit is periodic from start on; or, when the
+    orbit has more than `limit` residues, ([], None).  For t = num/den in
+    lowest terms the preperiod is the 2-adic valuation of den and the period
+    the order of 2 modulo den's odd part d, the first return of the walk of
+    1/d to its first residue: nothing is stored until the orbit fits.
     """
-    seen: dict[int, int] = {}
-    for r in _residues(t):
-        if r in seen:
-            return list(seen), seen[r]
-        if len(seen) == limit:
-            return list(seen), None
-        seen[r] = len(seen)
+    den = t.denominator
+    start = (den & -den).bit_length() - 1
+    walk = _residues(Fraction(1, den >> start))
+    first = next(walk)
+    for period, r in enumerate(islice(walk, None if limit is None else max(limit - start, 0)), 1):
+        if r == first:
+            return list(islice(_residues(t), start + period)), start
+    return [], None
 
 
 def _tent_numerators(t: Fraction, residues: Iterable[int]) -> Iterator[int]:
@@ -434,7 +438,7 @@ def eval_periodic(c: Geometric, t) -> Scalar:
         raise TypeError("eval_periodic requires a Geometric sequence")
     residues, s = _orbit(t, ORBIT_CAP)
     tents = list(_tent_numerators(t, residues))
-    if not any(tents[1:]):
+    if s is not None and not any(tents[1:]):
         return RationalScalar(Fraction(tents[0], t.denominator))
     if s is None or not _exact_geometric(c):
         return eval_series(c, t, Fraction(1, 2**96))
@@ -525,11 +529,12 @@ def _series_bounds(c: CoefficientSequence, t: Fraction, width: Fraction) -> tupl
 
 def _tent_pairs(t: Fraction) -> Iterator[tuple[int, int]]:
     """(f, f) for t's tent numerators, from its residues in place, up to the first 0."""
-    den, r = t.denominator, t.numerator % t.denominator
-    while r:
+    den = t.denominator
+    for r in _residues(t):
+        if not r:
+            return
         f = den - r if 2 * r >= den else r
         yield f, f
-        r = 2 * r - den if 2 * r >= den else 2 * r
 
 
 def _periodic_bounds(

@@ -10,6 +10,13 @@ computation yields infinite conclusions, and classifies the extremizer set:
 a finite count, or a perfect set whose Hausdorff dimension is 1/(n0+1) when
 the first vanishing partial sum at index n0 closes a block recurrence.
 
+The step condition leaves a choice only after a vanishing partial sum, and
+flipping every choice after such a zero negates every later sum, which keeps
+the zeros and the condition.  So when the sharp run's tail is certified zero
+free, with its zero set Z in the prefix, the extremizers in [0, 1/2] are T of
+the sharp sequence flipped after each subset of Z: 2^|Z| sequences built
+from the one certified trace (`_half_points`), with no further run.
+
 For c_m = (alpha/2)^m with alpha rational or algebraic, S_n = P_n(alpha) for
 the +-1 prefix polynomial P_n, so every decision is the sign of an integer
 polynomial at a root: `_PrefixSums` keeps S_n as an integer vector over a
@@ -37,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 from . import intpoly, scalars
 from .evaluate import (
@@ -319,22 +326,19 @@ def _partial_sums(c: CoefficientSequence):
     return _PrefixSums(c.alpha) if _exact_geometric(c) else _ScalarSums(c)
 
 
-def _run(c: CoefficientSequence, kind: str, tie: str, depth: int, overrides=None):
-    """Run the recursion to `depth`; returns (choices, sums, signs, zero_decisions)."""
+def _run(c: CoefficientSequence, kind: str, tie: str, depth: int):
+    """Run the recursion to `depth`; returns (choices, sums, signs)."""
     sums = _partial_sums(c)
     rho = [1]
     sgn: list[int] = []
-    zero_decisions: list[int] = []
     for n in range(1, depth + 1):
         s = sums.sign(n - 1)
         sgn.append(s)
-        if s == 0:
-            zero_decisions.append(n)
-        choice = overrides.get(n) if overrides and n in overrides else _decide(kind, tie, s)
+        choice = _decide(kind, tie, s)
         rho.append(choice)
         sums.push(choice)
     sgn.append(sums.sign(depth))
-    return rho, sums, sgn, zero_decisions
+    return rho, sums, sgn
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +466,13 @@ def _certify(c, kind, tie, rho, sums, sgn, depth):
     return got
 
 
-def _trace(c, kind, tie, depth, run) -> StepTrace:
-    """The StepTrace of one `_run` result, its tail fixed by a certificate when one fires."""
-    rho, sums, sgn, _ = run
+def _build_trace(c, kind, tie, depth) -> StepTrace:
+    """The recursion run to `depth`, its tail fixed by a certificate when one fires."""
+    if tie not in ("sharp", "flat"):
+        raise ValueError("variant must be 'sharp' or 'flat'")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    rho, sums, sgn = _run(c, kind, tie, depth)
     # zeros in the certified tail recur along their phases; keep only the
     # prefix occurrences in zero_indices (complete when tail is zero free)
     zeros = tuple(n for n in range(depth + 1) if sgn[n] == 0)
@@ -473,14 +481,6 @@ def _trace(c, kind, tie, depth, run) -> StepTrace:
         return StepTrace(SignSequence(tuple(rho)), sums, zeros, depth, None)
     cert, block = got
     return StepTrace(SignSequence(tuple(rho), (cert.start, block)), sums, zeros, depth, cert)
-
-
-def _build_trace(c, kind, tie, depth) -> StepTrace:
-    if tie not in ("sharp", "flat"):
-        raise ValueError("variant must be 'sharp' or 'flat'")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return _trace(c, kind, tie, depth, _run(c, kind, tie, depth))
 
 
 def build_rho(c: CoefficientSequence, variant: str, depth: int = DEFAULT_DEPTH) -> StepTrace:
@@ -517,33 +517,25 @@ def check_step_condition(
 # classification
 
 
-def _enumerate_leaves(c, kind, depth):
-    """All step-condition sign sequences, forking at every vanishing sum.
-
-    Returns a list of certified traces (one per sequence) or None when some
-    branch cannot be certified or there are too many fork points.
-    """
-    leaves = []
-    stack = [dict()]
-    while stack:
-        overrides = stack.pop()
-        run = _run(c, kind, "sharp", depth, overrides)
-        pending = [n for n in run[3] if n not in overrides]
-        if pending:
-            if len(overrides) >= ENUMERATION_CAP:
-                return None
-            n = pending[0]
-            for choice in (1, -1):
-                nxt = dict(overrides)
-                nxt[n] = choice
-                stack.append(nxt)
-            continue
-        leaf = _trace(c, kind, "sharp", depth, run)
-        # no certificate, or infinitely many zeros: not a finite enumeration
-        if leaf.certificate is None or leaf.certificate.zero_phases:
-            return None
-        leaves.append(leaf)
-    return leaves
+def _half_points(sharp: StepTrace) -> list[Fraction] | None:
+    """T of each of the 2^|Z| step sequences of a sharp trace with a certified
+    zero-free tail: the sharp one flipped after each subset of its zeros, its
+    period block by the subset's parity; None past ENUMERATION_CAP zeros."""
+    zeros = sharp.zero_indices
+    if len(zeros) > ENUMERATION_CAP:
+        return None
+    start, block = sharp.signs.period
+    if zeros and zeros[-1] >= start - 1:
+        raise AssertionError("zero S_%d inside the certified tail from %d" % (zeros[-1], start))
+    points = []
+    for flips in product((1, -1), repeat=len(zeros)):
+        flip_at = dict(zip(zeros, flips))
+        sign, prefix = 1, []
+        for n, s in enumerate(sharp.signs.prefix[:start]):
+            prefix.append(sign * s)
+            sign *= flip_at.get(n, 1)
+        points.append(t_map_fraction(SignSequence(tuple(prefix), (start, tuple(sign * b for b in block)))))
+    return points
 
 
 def _structured_continuum(trace: StepTrace) -> int | None:
@@ -603,9 +595,10 @@ def classify_extrema(
 ) -> ExtremaReport:
     """Smallest/largest extremizer, certified value enclosure, and cardinality.
 
-    Cardinality is reported as Finite only when the zero set of the sharp
-    recursion is certified complete and every branch sequence is certified
-    periodic; as a continuum (perfect set of dimension 1/(n0+1)) only when the
+    Cardinality is reported as Finite only when the sharp recursion's tail is
+    certified periodic and zero free, so that its zero set is complete and
+    gives every step sequence, and it has at most ENUMERATION_CAP zeros; as a
+    continuum (perfect set of dimension 1/(n0+1)) only when the
     first zero provably closes a block recurrence; otherwise it is
     unknown-beyond-depth.  Locations are reported in either case, exactly when
     periodic and as dyadic approximants otherwise.
@@ -620,18 +613,7 @@ def classify_extrema(
     cardinality = Cardinality.unknown(depth)
     locations: tuple[Fraction, ...] | None = None
     if sharp.certified and sharp.tail_zero_free:
-        if not sharp.zero_indices:
-            half_points = [small.exact]
-        else:
-            leaves = _enumerate_leaves(c, kind, depth)
-            half_points = None
-            if leaves is not None:
-                if len(leaves) != 2 ** len(sharp.zero_indices):
-                    raise AssertionError(
-                        "step-sequence count %d disagrees with 2^|Z| = %d"
-                        % (len(leaves), 2 ** len(sharp.zero_indices))
-                    )
-                half_points = sorted({t_map_fraction(l.signs) for l in leaves})
+        half_points = _half_points(sharp)
         if half_points is not None:
             unit = sorted(set(half_points) | {1 - t for t in half_points})
             cardinality = Cardinality.finite(len(unit))

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate, islice
 from unittest import mock
@@ -341,6 +342,9 @@ def test_eval_series_past_orbit_cap(monkeypatch):
     assert capped.hi - capped.lo <= width
     assert capped.lo <= uncapped.hi and uncapped.lo <= capped.hi
     assert capped.lo <= lo and hi <= capped.hi
+    # eval_periodic finds no period either, reads no tents, and sums the series
+    periodic = ev.eval_periodic(c, t)
+    assert isinstance(periodic, sc.IntervalScalar) and periodic.lo <= hi and lo <= periodic.hi
     # a sequence with residue-class tails falls back the same way past the cap
     power_capped = ev.eval_series(power, t, power_width)
     assert power_capped.hi - power_capped.lo <= power_width
@@ -380,6 +384,38 @@ def test_series_without_residue_tails_skips_the_orbit(monkeypatch):
     residues, start = orbit(t)
     expected = ev._periodic_bounds(c, list(ev._tent_numerators(t, residues)), t.denominator, start, width)
     assert ev._series_bounds(c, t, width) == expected
+
+
+def _dict_orbit(t, limit=None):
+    """The orbit walk that keeps every residue in a dict until one repeats."""
+    seen = {}
+    for r in ev._residues(t):
+        if r in seen:
+            return list(seen), seen[r]
+        if len(seen) == limit:
+            return [], None
+        seen[r] = len(seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den))))
+def test_orbit_period_by_arithmetic_matches_the_residue_table(pair):
+    t = F(*pair)
+    residues, start = _dict_orbit(t)
+    length = len(residues)
+    for limit in (None, 1, 2, 3, length - 1, length):
+        assert ev._orbit(t, limit) == _dict_orbit(t, limit), limit
+
+
+def test_orbit_past_the_cap_stores_no_residues():
+    # 2 has order 1,000,002 mod 1,000,003: a residue table would hold 10^6 ints
+    tracemalloc.start()
+    try:
+        assert ev._orbit(F(1, 1000003), ev.ORBIT_CAP) == ([], None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _scalar_tent_sum(c, t, terms):

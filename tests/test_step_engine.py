@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from takagi import evaluate as ev
+from takagi import landsberg as lb
 from takagi import littlewood as lw
 from takagi import oracle
 from takagi import scalars as sc
@@ -371,6 +372,23 @@ def test_algebraic_recursion_takes_one_product_per_weight(monkeypatch):
 # the integer recursion of a Geometric sequence against Scalar arithmetic
 
 
+def _forced_run(c, kind, tie, depth, overrides):
+    """The recursion over `se._partial_sums` with the choice at each n in `overrides`
+    forced: (choices, sums, signs, the n whose S_{n-1} vanishes)."""
+    sums = se._partial_sums(c)
+    rho, sgn, zeros = [1], [], []
+    for n in range(1, depth + 1):
+        s = sums.sign(n - 1)
+        sgn.append(s)
+        if s == 0:
+            zeros.append(n)
+        choice = overrides.get(n, se._decide(kind, tie, s))
+        rho.append(choice)
+        sums.push(choice)
+    sgn.append(sums.sign(depth))
+    return rho, sums, sgn, zeros
+
+
 def _scalar_run(c, kind, tie, depth, overrides):
     """The recursion with every partial sum a Scalar, the reference for `_PrefixSums`."""
     weights = c.weights()
@@ -455,13 +473,18 @@ NEGATIVE_LEAD = sc.scalar_mul(sc.algebraic([1, 0, -3], 0, 1), F(-5, 3))  # over 
 @example(UNREDUCED, "min", "flat", 8, {})
 def test_integer_recursion_matches_scalar_sums(alpha, kind, tie, depth, overrides):
     c = ev.Geometric(alpha)
-    rho, sums, sgn, zeros = se._run(c, kind, tie, depth, overrides)
+    rho, sums, sgn, zeros = _forced_run(c, kind, tie, depth, overrides)
     ref_rho, ref_sums, ref_sgn, ref_zeros = _scalar_run(c, kind, tie, depth, overrides)
     assert (rho, sgn, zeros) == (ref_rho, ref_sgn, ref_zeros)
     assert list(sums) == ref_sums
     assert se._certify_geometric(c, rho, sums, sgn, depth) == _scalar_certify_geometric(
         c.alpha, list(islice(c.weights(), depth + 1)), rho, ref_sums, sgn, depth
     )
+    rho, sums, sgn = se._run(c, kind, tie, depth)
+    ref_rho, ref_sums, ref_sgn, ref_zeros = _scalar_run(c, kind, tie, depth, {})
+    zeros = [n for n in range(1, depth + 1) if sgn[n - 1] == 0]
+    assert (rho, sgn, zeros) == (ref_rho, ref_sgn, ref_zeros)
+    assert list(sums) == ref_sums
 
 
 def test_geometric_run_takes_one_product_per_term_and_no_scalar_sign(monkeypatch):
@@ -482,7 +505,7 @@ def test_geometric_run_takes_one_product_per_term_and_no_scalar_sign(monkeypatch
             m.setattr(sc, "_reduce_int", counted)
             m.setattr(sc, "scalar_sign", no_sign)
             m.setattr(se, "scalar_sign", no_sign)
-            rho, sums, sgn, _ = se._run(c, "max", "sharp", depth)
+            rho, sums, sgn = se._run(c, "max", "sharp", depth)
         assert len(rho) == len(sgn) == depth + 1
         assert len(products) <= depth + 1
         assert not scalar_signs
@@ -523,9 +546,90 @@ def test_a_leaf_off_the_constant_tail_is_uncertified():
     # the constant tail the tie rule gives, so no certificate and no enumeration
     c = ev.FiniteSupport([1, F(1, 2)])
     for choice, certified in ((1, True), (-1, False)):
-        rho, _, sgn, _ = se._run(c, "max", "sharp", 2, {2: choice})
+        rho, _, sgn, _ = _forced_run(c, "max", "sharp", 2, {2: choice})
         assert (se._certify_finite_support(c, "max", "sharp", rho, sgn, 2) is not None) == certified
-    assert se._enumerate_leaves(c, "max", 2) is None
+    assert se.classify_extrema(c, "max", 2).cardinality == se.Cardinality.unknown(2)
+
+
+def _dfs_half_points(c, kind, depth):
+    """T of every step sequence by forking the sharp recursion at each vanishing
+    sum and certifying each leaf run; None when a leaf is uncertified or has a
+    zero tail, or past ENUMERATION_CAP forks."""
+    points, stack = [], [{}]
+    while stack:
+        overrides = stack.pop()
+        rho, sums, sgn, zeros = _forced_run(c, kind, "sharp", depth, overrides)
+        pending = [n for n in zeros if n not in overrides]
+        if pending:
+            if len(overrides) >= se.ENUMERATION_CAP:
+                return None
+            stack += [{**overrides, pending[0]: choice} for choice in (1, -1)]
+            continue
+        got = se._certify(c, kind, "sharp", rho, sums, sgn, depth)
+        if got is None or got[0].zero_phases:
+            return None
+        cert, block = got
+        points.append(ev.t_map_fraction(ev.SignSequence(tuple(rho), (cert.start, block))))
+    return points
+
+
+def _assert_half_points_match_the_forks(c, kind, depth):
+    sharp = se._build_trace(c, kind, "sharp", depth)
+    if not (sharp.certified and sharp.tail_zero_free):
+        return False
+    points, want = se._half_points(sharp), _dfs_half_points(c, kind, depth)
+    assert (sorted(points) if points is not None else None) == (sorted(want) if want is not None else None)
+    if want is not None:
+        unit = sorted(set(want) | {1 - t for t in want})
+        assert se.classify_extrema(c, kind, depth).locations == tuple(unit)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1]), min_size=2, max_size=25),
+    st.sampled_from(["max", "min"]),
+    st.integers(min_value=8, max_value=30),
+)
+@example([1] * 25, "max", 30)  # 12 zeros: 4,096 leaves
+@example([-1] * 27, "min", 30)  # 13 zeros: past the cap
+@example([1, -1, 1, 1, -1, 1, 1, 1, -1, -1, 1, 1, 1, 1, 1], "max", 20)
+def test_half_points_match_the_forked_runs_with_ties(signs, kind, depth):
+    # weights +-1: integer partial sums that vanish often, up to 12 times
+    c = ev.FiniteSupport([F(s, 2**m) for m, s in enumerate(signs)])
+    _assert_half_points_match_the_forks(c, kind, max(depth, len(signs)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_half_points_match_the_forked_runs_at_x_n(n):
+    # the four maximizers at alpha = x_n come from one zero
+    report = lb.maxima(lb.solve_xn(n).root)
+    sharp = report.evidence
+    assert len(sharp.zero_indices) == 1 and report.cardinality == se.Cardinality.finite(4)
+    assert _assert_half_points_match_the_forks(ev.Geometric(lb.solve_xn(n).root), "max", sharp.depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=-60, max_value=60), st.sampled_from(["max", "min"]), st.integers(8, 30))
+def test_half_points_match_the_forked_runs_on_increasing_weights(head, kind, depth):
+    _assert_half_points_match_the_forks(_increasing(head), kind, depth)
+
+
+def test_twelve_zeros_take_two_runs(monkeypatch):
+    # unit weights: S = 1, 0, 1, 0, ... with 12 zeros, 2^12 step sequences
+    # from the sharp and flat runs alone (forking at each zero takes 8,193)
+    calls = []
+    partial_sums = se._partial_sums
+
+    def counted(c):
+        calls.append(c)
+        return partial_sums(c)
+
+    monkeypatch.setattr(se, "_partial_sums", counted)
+    r = se.classify_extrema(ev.FiniteSupport([F(1, 2**m) for m in range(25)]), "max", 30)
+    assert len(r.evidence.zero_indices) == se.ENUMERATION_CAP
+    assert r.cardinality == se.Cardinality.finite(4096) and len(r.locations) == 4096
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
