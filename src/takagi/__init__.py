@@ -40,7 +40,6 @@ from .littlewood import (
     LittlewoodPoly,
     RootRecord,
     ScanSummary,
-    closure_gap_report,
     is_step_root,
     rational_root_filter,
     real_roots,

@@ -309,8 +309,10 @@ def cmd_littlewood_steproots(args) -> int:
 
 def cmd_littlewood_gaps(args) -> int:
     resolution = parse_rational(args.resolution)
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
     summary = littlewood.scan(args.max_degree, jobs=args.jobs, collect_roots=True)
-    gaps = littlewood.closure_gap_report(summary.midpoints(), resolution)
+    gaps = [[frac_str(lo), frac_str(hi)] for lo, hi in littlewood.root_gaps(summary.roots_seen, resolution)]
     print(json.dumps({"resolution": args.resolution, "gaps": gaps}, indent=1))
     return 0
 

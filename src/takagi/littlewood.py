@@ -25,6 +25,8 @@ seam of the two halves, is the only rational root there: P(1) = 0 decides it,
 and its step flags are P's partial sums.  Where anything is not certified
 (roots closer than a cell, a repeated root, a root in the cell of 1), P and
 rev(P) fall back to Sturm isolation of (1/2, 2), which gives the same cells.
+`roots_seen` holds each cell as its midpoint, an exact encoding of the cell that
+`_cell` alone decodes, for `root_records` and for the exact gaps of `root_gaps`.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class ScanSummary:
     hist_pos_roots: list = field(default_factory=list)
     hist_neg_steps: list = field(default_factory=list)
     hist_pos_steps: list = field(default_factory=list)
-    roots_seen: list = field(default_factory=list)  # (degree, mask, midpoint, is_step)
+    # (degree, mask, midpoint, is_step); the midpoint is the exact encoding of the cell, decoded by `_cell` alone
+    roots_seen: list = field(default_factory=list)
 
     def merge(self, other: "ScanSummary") -> None:
         for name in (
@@ -141,10 +144,6 @@ class ScanSummary:
             for i, v in enumerate(theirs):
                 mine[i] += v
         self.roots_seen.extend(other.roots_seen)
-
-    def midpoints(self) -> list[float]:
-        """The recorded root midpoints, in the order of `roots_seen`."""
-        return [r[2] for r in self.roots_seen]
 
     def to_json_dict(self) -> dict:
         return {
@@ -405,35 +404,33 @@ def step_root_records(max_degree: int, jobs: int = 1) -> list[RootRecord]:
     return list(root_records([r for r in summary.roots_seen if r[3]]))
 
 
+def _cell(mid: float) -> intpoly.Bracket:
+    """The cell a `roots_seen` midpoint encodes.  A scan cell is (A, A + 3, D), D a power of 2, a cell of the
+    bisection of (1/2, 2) or its mirror, so its midpoint (2A + 3) / 2D is an exact float in lowest terms."""
+    n, d = mid.as_integer_ratio()
+    return (n - 3) // 2, (n + 3) // 2, d // 2
+
+
 def root_records(roots_seen):
     """A RootRecord per entry of a sorted `roots_seen`, its root `_root_in` the entry's scan cell.
-
-    Every scan cell is a cell of the bisection of (1/2, 2), or its mirror: (A, A + 3, D) with D a
-    power of 2.  Its midpoint (2A + 3) / 2D is an exact float in lowest terms, so the recorded
-    midpoint gives back the cell.  The squarefree part is taken once per polynomial.
-    """
+    The squarefree part is taken once per polynomial."""
     for (degree, mask), group in groupby(roots_seen, key=lambda r: r[:2]):
         poly = LittlewoodPoly.from_mask(degree, mask)
         sq = intpoly.squarefree_part(poly.coeffs)
         for _, _, mid, step in group:
-            n, d = mid.as_integer_ratio()
-            yield RootRecord(poly, _root_in(sq, ((n - 3) // 2, (n + 3) // 2, d // 2), ROOT_WIDTH), step, degree)
+            yield RootRecord(poly, _root_in(sq, _cell(mid), ROOT_WIDTH), step, degree)
 
 
-def closure_gap_report(
-    roots, resolution, lo=POS_LO, hi=POS_HI
-) -> list[tuple[float, float]]:
-    """Maximal root-free sub-intervals of [lo, hi] of width >= resolution.
-
-    `roots` is any iterable of positions (the scan's recorded midpoints);
-    evidence for the density of roots, not a proof.
-    """
-    resolution = Fraction(resolution)
-    pts = sorted(float(r) for r in roots if lo <= r <= hi)
-    gaps = []
-    prev = float(lo)
-    for x in pts + [float(hi)]:
-        if Fraction(x) - Fraction(prev) >= resolution:
-            gaps.append((prev, x))
-        prev = x
+def root_gaps(roots_seen, resolution) -> list[tuple[Fraction, Fraction]]:
+    """The open intervals of (1/2, 2), at least `resolution` wide and left to right, that no positive cell of
+    the `roots_seen` entries covers: free of the roots of every polynomial the entries cover, each short of
+    the true root-free interval by at most one cell at each end.  The negative side is their mirror."""
+    if (resolution := Fraction(resolution)) <= 0:
+        raise ValueError("resolution must be positive")
+    cells = sorted({_cell(mid) for _, _, mid, _ in roots_seen if mid > 0}, key=lambda c: Fraction(c[0], c[2]))
+    gaps, reach = [], POS_LO  # the furthest right end so far, as cells may nest
+    for A, B, D in cells + [(2, 2, 1)]:  # the empty cell at 2 closes the last gap
+        if Fraction(A, D) - reach >= resolution:
+            gaps.append((reach, Fraction(A, D)))
+        reach = max(reach, Fraction(B, D))
     return gaps

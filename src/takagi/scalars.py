@@ -155,7 +155,7 @@ class AlgebraicScalar:
         return self.nums == (0, 1) and self.den == 1
 
     def __repr__(self) -> str:
-        return f"AlgebraicScalar(poly={self.poly}, ({self.lo}, {self.hi}), value={self.value})"
+        return f"AlgebraicScalar(poly={self.poly}, ({_show(self.lo)}, {_show(self.hi)}), value={self.value})"
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class IntervalScalar:
     refine_fn: Callable[[int], tuple[Fraction, Fraction]] | None = None
 
     def __repr__(self) -> str:
-        return f"IntervalScalar([{self.lo}, {self.hi}])"
+        return f"IntervalScalar([{_show(self.lo)}, {_show(self.hi)}])"
 
 
 Scalar = Union[RationalScalar, AlgebraicScalar, IntervalScalar]
@@ -378,7 +378,7 @@ def _alg_inverse(a: AlgebraicScalar) -> AlgebraicScalar:
 
 
 def _show(x: Fraction) -> str:
-    """x for an error message: exact when short, else its power of two
+    """x for a message or a repr: exact when short, else its power of two
     (str() of a Fraction past 4,300 digits raises ValueError)."""
     if abs(x.numerator).bit_length() + x.denominator.bit_length() <= 4000:
         return str(x)

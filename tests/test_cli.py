@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from takagi import cli
+from takagi import littlewood as lw
 
 
 def run(capsys, *argv):
@@ -109,6 +110,8 @@ def test_linear_root_outside_the_interval_is_a_usage_error(capsys):
         ["classify", "--alpha=1/0"],
         ["eval", "--alpha", "1/2", "--t", "1/0"],
         ["littlewood", "gaps", "--resolution", "1/0"],
+        ["littlewood", "gaps", "--resolution", "0"],
+        ["littlewood", "gaps", "--resolution=-1/100"],
         ["maximize", "--alpha", "root:1,-1,-1:1/2:1/0"],
         ["maximize", "--alpha", "1/2", "--seq", "power-squared"],
         ["maximize"],
@@ -207,10 +210,12 @@ def test_littlewood_scan_csv_output(tmp_path, capsys):
 
 
 def test_littlewood_gaps(capsys):
-    code, out, _ = run(capsys, "littlewood", "gaps", "--max-degree", "4", "--resolution", "1/4")
+    code, out, _ = run(capsys, "littlewood", "gaps", "--max-degree", "4", "--resolution", "1/10")
     assert code == 0
     d = json.loads(out)
-    assert "gaps" in d
+    assert d["resolution"] == "1/10"
+    gaps = [(F(lo), F(hi)) for lo, hi in d["gaps"]]
+    assert gaps == lw.root_gaps(lw.scan(4, collect_roots=True).roots_seen, F(1, 10)) != []
 
 
 def test_figure_outputs_and_sidecars(tmp_path, capsys):
@@ -405,7 +410,8 @@ def test_figure_two_and_three_digests(tmp_path, capsys):
 
 def test_littlewood_and_figure_one_digests(tmp_path, capsys):
     # sha256 of four outputs as written when each root was isolated twice:
-    # once by the scan and again by real_roots
+    # once by the scan and again by real_roots; the gaps as their exact ends
+    # since the report reads the scan's cells
     def digest(data):
         return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
@@ -417,7 +423,7 @@ def test_littlewood_and_figure_one_digests(tmp_path, capsys):
     assert digest((tmp_path / "roots.csv").read_bytes()) == "ee18ac1f4c61127ed2732546afad15147f3b58ca90a01f182560bce801c82d8c"
     code, out, _ = run(capsys, "littlewood", "gaps", "--max-degree", "10")
     assert code == 0
-    assert digest(out) == "2a0017de29c153c7b1b43b5148c00ceca06e4a07110a86b97b1bf62de8936091"
+    assert digest(out) == "87cc121b9a81b3cb3e206742d982c7b1f2445c5cef9f3a1fdbc210827c545919"  # exact cell ends
     code, _, _ = run(capsys, "figure", "1", "--points", "99", "--out-dir", str(tmp_path))
     assert code == 0
     assert digest((tmp_path / "fig1_maximizer_curve.csv").read_bytes()) == "14d03818374a2f00b0a70fa129228754a582cbb0892fe3d08ba9accea866f601"

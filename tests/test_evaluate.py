@@ -140,6 +140,15 @@ def test_power_squared_reference_value():
     assert enc.lo <= ref <= enc.hi
 
 
+def test_repr_of_a_bound_past_the_string_limit():
+    # the bounds at 157/389 have about 16,000 bits, past what str() of an int allows
+    enc = ev.eval_series(ev.PowerSquared(), F(157, 389), F(1, 10**12))
+    assert enc.lo.numerator.bit_length() > 15_000
+    assert repr(enc) == "IntervalScalar([~2^-1, ~2^-1])"
+    short = ev.eval_series(ev.PowerSquared(), F(11, 24), F(1, 2))
+    assert repr(short) == "IntervalScalar([%s, %s])" % (short.lo, short.hi)
+
+
 def test_T_map_and_rademacher_examples():
     third = ev.rademacher_of(F(1, 3))
     assert len(third) == 1 and third[0].period is not None

@@ -1,5 +1,6 @@
 """Littlewood scans: root isolation, step roots, totals, determinism."""
 
+import bisect
 import collections
 import dataclasses
 import functools
@@ -591,16 +592,71 @@ def test_non_step_algebraic_alpha_has_two_maximizers():
         assert r.cardinality.count <= 2
 
 
-def test_closure_gap_report():
-    s = lw.scan(2, collect_roots=True)
-    gaps = lw.closure_gap_report([r[2] for r in s.roots_seen], F(1, 2))
-    assert gaps  # few roots: big holes
-    s = lw.scan(10, collect_roots=True)
-    gaps_small = lw.closure_gap_report(
-        [r[2] for r in s.roots_seen], F(1, 100), lo=F(1, 2), hi=F(1)
-    )
-    total = sum(b - a for a, b in gaps_small)
-    assert total < F(1, 4)  # roots already fairly dense in (1/2, 1]
+def test_root_gaps_hold_no_root_by_sturm():
+    # each polynomial of degree d has Sturm count 0 on every gap of scan(d); a gap of a deeper scan
+    # lies in one of them, and P(-x) is again a Littlewood polynomial, so this covers the mirror too
+    seen = 0
+    for d in range(1, 11):
+        gaps = lw.root_gaps(lw.scan(d, collect_roots=True).roots_seen, F(1, 100))
+        seen += len(gaps)
+        for mask in range(1 << d):
+            chain = ip.sturm_chain(lw.LittlewoodPoly.from_mask(d, mask).coeffs)
+            assert all(ip.count_roots(chain, lo, hi) == 0 for lo, hi in gaps), (d, mask)
+    assert seen > 100
+
+
+def test_root_gaps_against_sympy():
+    # every gap of scan(8), at a resolution below any cell, lies between sympy's roots, and each
+    # interior end is within one cell (3/2^14) of one; a root is its exact sympy interval [a, b]
+    x, eps = sympy.Symbol("x"), F(1, 2**30)
+    polys = [lw.LittlewoodPoly.from_mask(d, mask).coeffs[::-1] for d in range(1, 9) for mask in range(1 << d)]
+    intervals = {ends for p in polys for ends, _ in sympy.Poly(p, x).intervals(eps=eps)}
+    intervals = {(F(int(a.p), int(a.q)), F(int(b.p), int(b.q))) for a, b in intervals}
+    roots = sorted((a, b) for a, b in intervals if F(1, 2) < a and b < 2)
+    assert all(b - a <= eps for a, b in roots)
+    gaps = lw.root_gaps(lw.scan(8, collect_roots=True).roots_seen, F(1, 2**20))
+    assert len(gaps) > 300
+    for a, b in roots:
+        i = bisect.bisect_right(gaps, (a,))
+        assert all(b <= lo or hi <= a for lo, hi in gaps[max(i - 1, 0) : i + 1]), (a, b)
+    for end in {e for gap in gaps for e in gap} - {F(1, 2), F(2)}:
+        i = bisect.bisect_right(roots, (end,))
+        near = roots[max(i - 1, 0) : i + 1]
+        assert any(end - F(3, 2**14) <= a and b <= end + F(3, 2**14) for a, b in near), end
+
+
+def test_root_gaps_at_the_edge_of_the_resolution():
+    # at degree 8 the cells either side of 1.577 leave 81/8192 free, less than 1/100
+    seen = lw.scan(8, collect_roots=True).roots_seen
+    gap = (F(25763, 16384), F(25925, 16384))
+    assert gap not in lw.root_gaps(seen, F(1, 100))
+    assert all(not (lo < F(1577, 1000) < hi) for lo, hi in lw.root_gaps(seen, F(1, 100)))
+    assert gap in lw.root_gaps(seen, F(81, 8192))
+    assert gap not in lw.root_gaps(seen, F(81, 8192) + F(1, 2**30))
+    for resolution in (0, F(-1, 100)):
+        with pytest.raises(ValueError):
+            lw.root_gaps(seen, resolution)
+
+
+def test_root_gaps_close_at_both_ends_and_past_nested_cells():
+    # degree 1 has the one positive root 1, in its cell (16382, 16385, 16384); a deeper cell inside
+    # another ends no gap, and a negative entry, a mirror cell, changes nothing
+    assert lw.root_gaps(lw.scan(1, collect_roots=True).roots_seen, F(1, 100)) == [
+        (F(1, 2), F(8191, 8192)),
+        (F(16385, 16384), F(2)),
+    ]
+    seen = [(3, 0, (2 * A + 3) / (2 * D), False) for A, D in ((20000, 16384), (40001, 32768), (21000, 16384))]
+    seen.append((3, 1, -seen[0][2], False))
+    assert lw.root_gaps(seen, F(1, 2**20)) == [
+        (F(1, 2), F(20000, 16384)),
+        (F(20003, 16384), F(21000, 16384)),
+        (F(21003, 16384), F(2)),
+    ]
+
+
+def test_root_gaps_do_not_depend_on_jobs():
+    one, two = (lw.scan(11, jobs=jobs, collect_roots=True).roots_seen for jobs in (1, 2))
+    assert lw.root_gaps(one, F(1, 1000)) == lw.root_gaps(two, F(1, 1000))
 
 
 def test_real_roots_are_the_base_roots_algebraic_builds():
